@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import warnings
@@ -217,6 +218,44 @@ def _load_config(path: str) -> dict:
     return data
 
 
+def _text(value) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"expected a string or null, got {type(value).__name__}")
+    return value
+
+
+def _int_list(value) -> list[int]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return [int(v) for v in value]
+
+
+def _depth(value) -> int | None:
+    return None if value in (None, "full") else int(value)
+
+
+# How each config-file key is read; flags are parsed by argparse instead.
+CONFIG_KEYS = {
+    "poly": _text,
+    "s": float,
+    "precision": _text,
+    "format": _text,
+    "out": _text,
+    "powers": _int_list,
+    "limits": _int_list,
+    "max_depth": _depth,
+}
+
+
+def _apply_config(cfg: RunConfig, data: dict) -> None:
+    for key, convert in CONFIG_KEYS.items():
+        if key in data:
+            try:
+                setattr(cfg, key, convert(data[key]))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"config {key!r}: bad value {data[key]!r} ({exc})") from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nonsieve",
@@ -250,16 +289,7 @@ def _build_config(args) -> RunConfig:
     if cfg.precision not in (EXACT, FLOAT):
         raise ValueError(f"bad {PRECISION_ENV} value {cfg.precision!r}")
     if args.config:
-        data = _load_config(args.config)
-        for key in ("poly", "s", "precision", "format", "out"):
-            if key in data:
-                setattr(cfg, key, data[key])
-        if "powers" in data:
-            cfg.powers = [int(p) for p in data["powers"]]
-        if "limits" in data:
-            cfg.limits = [int(x) for x in data["limits"]]
-        if "max_depth" in data:
-            cfg.max_depth = None if data["max_depth"] in (None, "full") else int(data["max_depth"])
+        _apply_config(cfg, _load_config(args.config))
     if args.poly is not None:
         cfg.poly = args.poly
     if args.powers is not None:
@@ -271,7 +301,7 @@ def _build_config(args) -> RunConfig:
     if args.s is not None:
         cfg.s = args.s
     if args.depth is not None:
-        cfg.max_depth = None if args.depth == "full" else int(args.depth)
+        cfg.max_depth = _depth(args.depth)
     if args.precision is not None:
         cfg.precision = args.precision
     if args.exact:
@@ -287,6 +317,8 @@ def _build_config(args) -> RunConfig:
         raise ValueError(f"limits must be strictly ascending: {cfg.limits}")
     if not cfg.limits:
         raise ValueError("at least one limit is required")
+    if not math.isfinite(cfg.s):
+        raise ValueError(f"exponent must be finite, got {cfg.s}")
     if cfg.s < 1:
         raise ValueError(f"exponent must be >= 1, got {cfg.s}")
     return cfg
@@ -319,6 +351,9 @@ def run(argv=None, stdout=None) -> int:
     except (NonsieveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # the config file could not be read
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     try:
         if cfg.out:

@@ -1,7 +1,8 @@
 """Precision-tracked numbers: exact rationals and compensated binary floats.
 
-Exact mode stores a `fractions.Fraction` and is the ground truth for every
-tabulated case.  Float mode carries a binary64 value plus a running
+Exact mode stores an integer numerator/denominator pair, reduced to a
+`fractions.Fraction` only when one is asked for, and is the ground truth
+for every tabulated case.  Float mode carries a binary64 value plus a running
 compensation term (error-free transformations throughout), so accumulated
 sums and products keep roughly double-double accuracy.
 """
@@ -9,9 +10,8 @@ sums and products keep roughly double-double accuracy.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .errors import ExactRationalUnsupportedError
 
@@ -100,27 +100,64 @@ class CompensatedProduct:
         return self.product + self.error
 
 
-@dataclass(frozen=True)
 class PrecisionValue:
-    """A number carried either exactly or as a compensated float pair."""
+    """A number carried either exactly or as a compensated float pair.
 
-    mode: str
-    rational: Fraction | None = None
-    approx: float = 0.0
-    comp: float = 0.0
+    An exact value is an integer pair (num, den) with den > 0, not
+    necessarily in lowest terms, or a function that returns one on demand,
+    so that a value derived from others keeps no big integers of its own.
+    `rational` reduces the pair to a Fraction on first access and keeps it;
+    it is None in float mode.
+    """
+
+    __slots__ = ("mode", "approx", "comp", "_pair", "_rational")
+
+    def __init__(self, mode: str, approx: float = 0.0, comp: float = 0.0, pair=None):
+        self.mode = mode
+        self.approx = approx
+        self.comp = comp
+        self._pair = pair
+        self._rational = None
 
     @staticmethod
     def exact(value: Union[Fraction, int]) -> "PrecisionValue":
-        return PrecisionValue(mode=EXACT, rational=Fraction(value))
+        r = Fraction(value)
+        pv = PrecisionValue.ratio(r.numerator, r.denominator)
+        pv._rational = r
+        return pv
+
+    @staticmethod
+    def ratio(num: int, den: int) -> "PrecisionValue":
+        """The exact value num / den, den > 0, left unreduced."""
+        return PrecisionValue(EXACT, pair=(num, den))
+
+    @staticmethod
+    def deferred(make_pair: Callable[[], tuple[int, int]]) -> "PrecisionValue":
+        """An exact value whose (num, den) pair is computed at each use."""
+        return PrecisionValue(EXACT, pair=make_pair)
 
     @staticmethod
     def compensated(approx: float, comp: float = 0.0) -> "PrecisionValue":
-        return PrecisionValue(mode=FLOAT, approx=approx, comp=comp)
+        return PrecisionValue(FLOAT, approx=approx, comp=comp)
+
+    @property
+    def pair(self) -> tuple[int, int]:
+        """Exact (num, den), den > 0, not necessarily in lowest terms."""
+        return self._pair() if callable(self._pair) else self._pair
+
+    @property
+    def rational(self) -> Fraction | None:
+        if self.mode != EXACT:
+            return None
+        if self._rational is None:
+            self._rational = Fraction(*self.pair)
+        return self._rational
 
     @property
     def value(self) -> float:
         if self.mode == EXACT:
-            return float(self.rational)
+            num, den = self.pair
+            return num / den  # int true division is correctly rounded
         return self.approx + self.comp
 
     def as_fraction(self) -> Fraction:
@@ -130,14 +167,11 @@ class PrecisionValue:
 
     def decimal_str(self, places: int = 14) -> str:
         """Fixed-point decimal string, rounded half-to-even."""
+        if self.mode == EXACT:
+            return _fixed_point(*self.pair, places)
         with decimal.localcontext() as ctx:
             ctx.prec = 60
-            if self.mode == EXACT:
-                d = decimal.Decimal(self.rational.numerator) / decimal.Decimal(
-                    self.rational.denominator
-                )
-            else:
-                d = decimal.Decimal(self.approx) + decimal.Decimal(self.comp)
+            d = decimal.Decimal(self.approx) + decimal.Decimal(self.comp)
             q = d.quantize(
                 decimal.Decimal(1).scaleb(-places), rounding=decimal.ROUND_HALF_EVEN
             )
@@ -147,6 +181,20 @@ class PrecisionValue:
         if self.mode == EXACT:
             return f"PrecisionValue(exact {self.rational})"
         return f"PrecisionValue(float {self.approx!r} + {self.comp!r})"
+
+
+def _fixed_point(num: int, den: int, places: int) -> str:
+    """num / den (den > 0) rounded half-to-even to `places` >= 0 decimals,
+    by one integer division.  A negative value that rounds to zero keeps
+    its sign, "-0.00", as Decimal formatting does."""
+    q, r = divmod(abs(num) * 10**places, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    digits = str(q).rjust(places + 1, "0")
+    sign = "-" if num < 0 else ""
+    if places == 0:
+        return sign + digits
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
 def require_exactable_exponent(s, mode: str) -> None:

@@ -3,13 +3,19 @@ M(x) = Z(x) * P(x) - 1 over an integer-valued polynomial's outputs.
 
 The product starts at the first n with f(n) >= 2: starting at a unit
 value would annihilate the whole product through the factor 1 - 1/1.
+
+Exact mode works on plain integers.  Before that start index n0 every
+f(n) is 1, so Z and P share the denominator D = prod_{n=n0}^{x} f(n)**s,
+and one binary-splitting tree over f(n0..x)**s gives both numerators
+(Haible & Papanikolaou 1998).  Nothing is reduced until a Fraction is
+asked for.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BoundViolationError, EmptyProductWarning, InsufficientDataError, NotMonotoneError
 from .numerics import (
@@ -54,6 +60,88 @@ def _term(value: int, s) -> float:
     return float(value) ** -s
 
 
+# Below this many terms a range is folded term by term: the products are
+# still small, and Python call overhead would dominate a deeper tree.
+_LEAF = 8
+
+
+def _split(poly: IntegerPolynomial, lo: int, hi: int, s: int) -> tuple[int, int, int]:
+    """Binary splitting over t_n = f(n)**s for lo <= n < hi.
+
+    Returns (S, D, Q) with S / D = sum 1/t_n, D = prod t_n and
+    Q = prod (t_n - 1), so Q / D = prod (1 - 1/t_n).  An empty range gives
+    (0, 1, 1).
+    """
+    if hi - lo <= _LEAF:
+        s_num, den, q = 0, 1, 1
+        for n in range(lo, hi):
+            t = poly(n) ** s
+            s_num, den, q = s_num * t + den, den * t, q * (t - 1)
+        return s_num, den, q
+    mid = (lo + hi) // 2
+    return _join(_split(poly, lo, mid, s), _split(poly, mid, hi, s))
+
+
+def _join(left: tuple[int, int, int], right: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The (S, D, Q) of two adjacent ranges taken together."""
+    s1, d1, q1 = left
+    s2, d2, q2 = right
+    return s1 * d2 + s2 * d1, d1 * d2, q1 * q2
+
+
+def _units(x: int, n0: int | None) -> int:
+    """The part of Z(x) before n0.  That is one per unit value f(n) = 1 with
+    n <= x, or, when f(1) > 1 (exactly when n0 = 1), the explicit leading 1."""
+    if n0 is None or x < n0:
+        return x
+    return max(n0 - 1, 1)
+
+
+def _exact_zps(poly: IntegerPolynomial, x_list: list[int], s: int, n0: int | None):
+    """Exact (Z, P) at each ascending limit: one tree per segment between
+    consecutive limits, folded into the running (S, D, Q).  Z and P hold
+    the same D."""
+    lo = x_list[-1] + 1 if n0 is None else n0  # next n to fold in
+    sdq = (0, 1, 1)
+    for x in x_list:
+        if x >= lo:
+            sdq = _join(sdq, _split(poly, lo, x + 1, s))
+            lo = x + 1
+        s_num, den, q = sdq
+        yield (
+            PrecisionValue.ratio(s_num + _units(x, n0) * den, den),
+            PrecisionValue.ratio(q, den),
+        )
+
+
+def _float_zps(poly: IntegerPolynomial, x_list: list[int], s, n0: int | None):
+    """Compensated (Z, P) at each ascending limit, extended term by term."""
+    zacc = KahanSum(1.0 if poly(1) > 1 else 0.0)
+    pacc = CompensatedProduct()
+    n = 1
+    for x in x_list:
+        while n <= x:
+            t = _term(poly(n), s)
+            zacc.add(t)
+            if n0 is not None and n >= n0:
+                pacc.multiply(1.0 - t)
+            n += 1
+        yield (
+            PrecisionValue.compensated(*zacc.as_pair()),
+            PrecisionValue.compensated(*pacc.as_pair()),
+        )
+
+
+@functools.lru_cache(maxsize=1)
+def _exact_zp(poly: IntegerPolynomial, x: int, s: int) -> tuple[PrecisionValue, PrecisionValue]:
+    """Exact Z(x) and P(x) from one tree over f(n0..x)**s.
+
+    residual() asks zeta_partial and then euler_product_partial for the
+    same (f, x, s); keeping the last answer lets both use one tree.
+    """
+    return next(_exact_zps(poly, [x], s, start_index(poly, x)))
+
+
 def zeta_partial(
     poly: IntegerPolynomial, x: int, s=1, mode: str = EXACT
 ) -> PrecisionValue:
@@ -64,12 +152,9 @@ def zeta_partial(
     """
     _check_preconditions(poly, x)
     require_exactable_exponent(s, mode)
-    leading = 1 if poly(1) > 1 else 0
     if mode == EXACT:
-        total = Fraction(leading)
-        for n in range(1, x + 1):
-            total += Fraction(1, poly(n) ** int(s))
-        return PrecisionValue.exact(total)
+        return _exact_zp(poly, x, int(s))[0]
+    leading = 1 if poly(1) > 1 else 0
     acc = KahanSum(float(leading))
     for n in range(1, x + 1):
         acc.add(_term(poly(n), s))
@@ -99,10 +184,7 @@ def euler_product_partial(
             else PrecisionValue.compensated(1.0)
         )
     if mode == EXACT:
-        prod = Fraction(1)
-        for n in range(n0, x + 1):
-            prod *= 1 - Fraction(1, poly(n) ** int(s))
-        return PrecisionValue.exact(prod)
+        return _exact_zp(poly, x, int(s))[1]
     acc = CompensatedProduct()
     for n in range(n0, x + 1):
         acc.multiply(1.0 - _term(poly(n), s))
@@ -124,7 +206,14 @@ class ResidualResult:
 def _combine(z: PrecisionValue, p: PrecisionValue, mode: str) -> PrecisionValue:
     """M = Z * P - 1 in the accumulation mode."""
     if mode == EXACT:
-        return PrecisionValue.exact(z.rational * p.rational - 1)
+        def m_pair():
+            (zn, zd), (pn, pd) = z.pair, p.pair
+            den = zd * pd
+            return zn * pn - den, den
+
+        # Computed at each use rather than stored: a scan keeps Z and P for
+        # every limit, and M's pair would double the integers held.
+        return PrecisionValue.deferred(m_pair)
     hi, lo = dd_mul(z.approx, z.comp, p.approx, p.comp)
     hi, lo = dd_add(hi, lo, -1.0, 0.0)
     return PrecisionValue.compensated(hi, lo)
@@ -178,49 +267,22 @@ def residual_scan(
         raise ValueError(f"limits must be strictly ascending: {x_list}")
     if not x_list:
         return []
+    if x_list[0] < 1:
+        raise ValueError(f"truncation limit must be >= 1, got {x_list[0]}")
     _check_preconditions(poly, x_list[-1])
     require_exactable_exponent(s, mode)
 
-    leading = 1 if poly(1) > 1 else 0
     n0 = start_index(poly, x_list[-1])
-    results = []
     if mode == EXACT:
-        z = Fraction(leading)
-        p = Fraction(1)
-        n = 1
-        for x in x_list:
-            while n <= x:
-                z += Fraction(1, poly(n) ** int(s))
-                if n0 is not None and n >= n0:
-                    p *= 1 - Fraction(1, poly(n) ** int(s))
-                n += 1
-            results.append(
-                _make_result(
-                    poly, x, s, mode,
-                    PrecisionValue.exact(z), PrecisionValue.exact(p),
-                    n0 if (n0 is not None and n0 <= x) else None,
-                )
-            )
+        zps = _exact_zps(poly, x_list, int(s), n0)
     else:
-        zacc = KahanSum(float(leading))
-        pacc = CompensatedProduct()
-        n = 1
-        for x in x_list:
-            while n <= x:
-                t = _term(poly(n), s)
-                zacc.add(t)
-                if n0 is not None and n >= n0:
-                    pacc.multiply(1.0 - t)
-                n += 1
-            results.append(
-                _make_result(
-                    poly, x, s, mode,
-                    PrecisionValue.compensated(*zacc.as_pair()),
-                    PrecisionValue.compensated(*pacc.as_pair()),
-                    n0 if (n0 is not None and n0 <= x) else None,
-                )
-            )
-    return results
+        zps = _float_zps(poly, x_list, s, n0)
+    return [
+        _make_result(
+            poly, x, s, mode, z, p, n0 if (n0 is not None and n0 <= x) else None
+        )
+        for x, (z, p) in zip(x_list, zps)
+    ]
 
 
 @dataclass(frozen=True)

@@ -169,3 +169,40 @@ class TestConfigAndEnvironment:
             e_m = float(e_line.split(",")[4])
             f_m = float(f_line.split(",")[4])
             assert abs(e_m - f_m) < 1e-13
+
+
+class TestBadInputExitCodes:
+    """Each bad input ends with its documented exit code and one error line."""
+
+    def run_err(self, capsys, *argv):
+        code = run(list(argv))
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return code
+
+    def config(self, tmp_path, **data):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"poly": "shell:3", **data}))
+        return str(path)
+
+    def test_infinite_exponent(self, capsys):
+        assert self.run_err(capsys, "residual", "--poly", "shell:3", "--x", "10", "--s", "inf") == 2
+
+    def test_non_numeric_exponent_in_config(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, s="abc")
+        assert self.run_err(capsys, "residual", "--config", cfg) == 2
+
+    def test_scalar_limits_in_config(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, limits=5)
+        assert self.run_err(capsys, "residual", "--config", cfg) == 2
+
+    def test_non_string_poly_in_config(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, poly=5, limits=[3])
+        assert self.run_err(capsys, "residual", "--config", cfg) == 2
+
+    def test_missing_config_file_is_an_io_error(self, capsys, tmp_path):
+        missing = str(tmp_path / "absent.json")
+        assert self.run_err(capsys, "table1", "--config", missing) == 1
+
+    def test_limit_below_one(self, capsys):
+        assert self.run_err(capsys, "figure-data", "--limits", "0,5") == 2

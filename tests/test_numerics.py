@@ -1,7 +1,9 @@
+import decimal
 import math
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonsieve import KahanSum, CompensatedProduct, PrecisionValue
 from nonsieve.numerics import dd_add, dd_mul, format_float, two_prod, two_sum
@@ -62,6 +64,30 @@ class TestPrecisionValue:
         v = PrecisionValue.exact(Fraction(15, 10**15))
         assert v.decimal_str(14) == "0.00000000000002"
 
+    @pytest.mark.parametrize(
+        "value, places, expected",
+        [
+            (Fraction(25, 10**15), 14, "0.00000000000002"),  # tie, down to even
+            (Fraction(35, 10**15), 14, "0.00000000000004"),  # tie, up to even
+            (Fraction(-15, 10**15), 14, "-0.00000000000002"),
+            (Fraction(-25, 10**15), 14, "-0.00000000000002"),
+            (Fraction(-5, 10**15), 14, "-0.00000000000000"),  # tie to zero keeps the sign
+            (Fraction(-1, 10**15), 14, "-0.00000000000000"),
+            (Fraction(0), 14, "0.00000000000000"),
+            (Fraction(159, 133), 14, "1.19548872180451"),  # Z of shell:3 at x = 3
+            (Fraction(37039, 3), 14, "12346.33333333333333"),
+            (Fraction(5, 2), 0, "2"),
+            (Fraction(7, 2), 0, "4"),
+            (Fraction(-1, 2), 0, "-0"),
+            (Fraction(-1, 3), 3, "-0.333"),
+            (Fraction(2, 3), 20, "0.66666666666666666667"),
+        ],
+    )
+    def test_exact_decimal_edge_cases(self, value, places, expected):
+        assert PrecisionValue.exact(value).decimal_str(places) == expected
+        unreduced = PrecisionValue.ratio(value.numerator * 6, value.denominator * 6)
+        assert unreduced.decimal_str(places) == expected
+
     def test_negative_formatting(self):
         v = PrecisionValue.exact(Fraction(-517, 17689))
         assert v.decimal_str(14) == "-0.02922720334671"
@@ -75,6 +101,36 @@ class TestPrecisionValue:
         v = PrecisionValue.exact(Fraction(7, 17689))
         assert v.rational.numerator == 1
         assert v.rational.denominator == 2527
+
+
+def decimal_formula(value: Fraction, places: int) -> str:
+    """Exact decimal_str as it was computed through Decimal: a 60-digit
+    quotient, then one quantize."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        d = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
+        q = d.quantize(decimal.Decimal(1).scaleb(-places), rounding=decimal.ROUND_HALF_EVEN)
+    return format(q, "f")
+
+
+# With |value| <= 10**6 + 1 the formula's 60-digit quotient is within
+# 10**-53 of the value.  With den <= 10**30 and places <= 20, a value that is
+# not a rounding tie is at least 10**-50 / 2 from every tie, so the quotient
+# rounds as the value does and the formula is correctly rounded here.
+@settings(max_examples=500)
+@given(
+    den=st.integers(1, 10**30),
+    scaled=st.integers(-(10**6), 10**6),
+    rest=st.integers(0, 10**30),
+    places=st.integers(0, 20),
+    factor=st.integers(1, 10**6),
+)
+def test_integer_decimal_matches_decimal_formula(den, scaled, rest, places, factor):
+    value = Fraction(scaled * den + rest % den, den)
+    expected = decimal_formula(value, places)
+    assert PrecisionValue.exact(value).decimal_str(places) == expected
+    pv = PrecisionValue.ratio(value.numerator * factor, value.denominator * factor)
+    assert pv.decimal_str(places) == expected
 
 
 def test_format_float_half_even():
