@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -29,7 +28,11 @@ PRECISION_ENV = "NONSIEVE_PRECISION"
 DEFAULT_LIMITS = (100, 200)
 DEFAULT_POWERS = (2, 3, 5, 7)
 
+PRECISIONS = (EXACT, FLOAT)
+FORMATS = ("csv", "json")
+
 CSV_COLUMNS = ("label", "x", "prime_count", "log_density_sum", "m_value", "mode")
+FIGURE_COLUMNS = ("label", "x", "m_value")
 
 
 @dataclass
@@ -44,44 +47,12 @@ class RunConfig:
     out: str | None = None
 
 
-@dataclass(frozen=True)
-class TableRow:
-    label: str
-    x: int
-    prime_count: int
-    log_density_sum: float
-    m_value: str
-    mode: str
-    flags: tuple[str, ...] = ()
-
-    def csv_values(self):
-        return (
-            self.label,
-            self.x,
-            self.prime_count,
-            format_float(self.log_density_sum, 5),
-            self.m_value,
-            self.mode,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "x": self.x,
-            "prime_count": self.prime_count,
-            "log_density_sum": format_float(self.log_density_sum, 5),
-            "m_value": self.m_value,
-            "mode": self.mode,
-            "flags": list(self.flags),
-        }
-
-
 def _s_value(cfg: RunConfig):
     # keep exact-mode friendly integer s when possible
     return int(cfg.s) if float(cfg.s) == int(cfg.s) else float(cfg.s)
 
 
-def _table_row(poly: IntegerPolynomial, row_key, x: int, cfg: RunConfig) -> TableRow:
+def _table_row(poly: IntegerPolynomial, row_key, x: int, cfg: RunConfig) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         cen = census(poly, x)
@@ -99,23 +70,23 @@ def _table_row(poly: IntegerPolynomial, row_key, x: int, cfg: RunConfig) -> Tabl
     ):
         if check is not None and not check.matches:
             flags.append(f"{name}_differs_from_reference:{check.reference}")
-    return TableRow(
-        label=poly.label,
-        x=x,
-        prime_count=cen.prime_count,
-        log_density_sum=cen.log_density_sum,
-        m_value=m_string,
-        mode=cfg.precision,
-        flags=tuple(flags),
-    )
+    return {
+        "label": poly.label,
+        "x": x,
+        "prime_count": cen.prime_count,
+        "log_density_sum": format_float(cen.log_density_sum, 5),
+        "m_value": m_string,
+        "mode": cfg.precision,
+        "flags": flags,
+    }
 
 
-def cmd_table1(cfg: RunConfig) -> list[TableRow]:
+def cmd_table1(cfg: RunConfig) -> list[dict]:
     poly = integers()
     return [_table_row(poly, "integers", x, cfg) for x in cfg.limits]
 
 
-def cmd_table2(cfg: RunConfig) -> list[TableRow]:
+def cmd_table2(cfg: RunConfig) -> list[dict]:
     rows = []
     for p in cfg.powers:
         poly = prime_shell(p)
@@ -124,16 +95,15 @@ def cmd_table2(cfg: RunConfig) -> list[TableRow]:
     return rows
 
 
-def cmd_figure_data(cfg: RunConfig) -> list[tuple[str, int, str]]:
+def cmd_figure_data(cfg: RunConfig) -> list[dict]:
     """Long-format series (label, x, m) for the integer row and each
     requested shell power."""
     series = [integers()] + [prime_shell(p) for p in cfg.powers]
-    points = []
-    for poly in series:
-        results = residual_scan(poly, cfg.limits, _s_value(cfg), cfg.precision)
-        for res in results:
-            points.append((poly.label, res.x, res.m_value.decimal_str(14)))
-    return points
+    return [
+        {"label": poly.label, "x": res.x, "m_value": res.m_value.decimal_str(14)}
+        for poly in series
+        for res in residual_scan(poly, cfg.limits, _s_value(cfg), cfg.precision)
+    ]
 
 
 def _precision_payload(value, mode: str) -> dict:
@@ -143,9 +113,15 @@ def _precision_payload(value, mode: str) -> dict:
     return payload
 
 
+def _poly_and_x(cfg: RunConfig, command: str) -> tuple[IntegerPolynomial, int]:
+    """The one polynomial and the last limit of a single-polynomial command."""
+    if not cfg.poly:
+        raise ValueError(f"{command} requires --poly")
+    return parse_poly_spec(cfg.poly), cfg.limits[-1]
+
+
 def cmd_residual(cfg: RunConfig) -> dict:
-    poly = parse_poly_spec(cfg.poly)
-    x = cfg.limits[-1]
+    poly, x = _poly_and_x(cfg, "residual")
     res = residual(poly, x, _s_value(cfg), cfg.precision)
     return {
         "label": res.label,
@@ -161,47 +137,33 @@ def cmd_residual(cfg: RunConfig) -> dict:
 
 
 def cmd_mseries(cfg: RunConfig) -> dict:
-    poly = parse_poly_spec(cfg.poly)
-    x = cfg.limits[-1]
+    poly, x = _poly_and_x(cfg, "mseries")
     return mseries_literal(poly, x, cfg.max_depth, cfg.precision).to_dict()
 
 
 def cmd_compare(cfg: RunConfig) -> dict:
-    poly = parse_poly_spec(cfg.poly)
-    x = cfg.limits[-1]
+    poly, x = _poly_and_x(cfg, "compare")
     return compare_to_residual(poly, x, cfg.max_depth, cfg.precision).to_dict()
 
 
-def _emit_csv(header, rows, out) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    out.write(buf.getvalue())
+# Each command's handler and its CSV columns; None means one JSON object.
+COMMANDS = {
+    "table1": (cmd_table1, CSV_COLUMNS),
+    "table2": (cmd_table2, CSV_COLUMNS),
+    "figure-data": (cmd_figure_data, FIGURE_COLUMNS),
+    "residual": (cmd_residual, None),
+    "mseries": (cmd_mseries, None),
+    "compare": (cmd_compare, None),
+}
 
 
-def _emit(cfg: RunConfig, payload, stream) -> None:
-    if isinstance(payload, dict):
+def _emit(payload, columns, fmt: str, stream) -> None:
+    if columns is None or fmt == "json":
         stream.write(json.dumps(payload, indent=2) + "\n")
-    elif cfg.format == "json":
-        if payload and isinstance(payload[0], TableRow):
-            stream.write(
-                json.dumps([r.to_dict() for r in payload], indent=2) + "\n"
-            )
-        else:
-            stream.write(
-                json.dumps(
-                    [{"label": l, "x": x, "m_value": m} for l, x, m in payload],
-                    indent=2,
-                )
-                + "\n"
-            )
-    else:
-        if payload and isinstance(payload[0], TableRow):
-            _emit_csv(CSV_COLUMNS, [r.csv_values() for r in payload], stream)
-        else:
-            _emit_csv(("label", "x", "m_value"), payload, stream)
+        return
+    writer = csv.DictWriter(stream, columns, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(payload)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -224,22 +186,48 @@ def _text(value) -> str | None:
     return value
 
 
+def _int(value) -> int:
+    # bool is an int subclass, and int() would truncate a float
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    # float() would also take true and numeric strings such as "2"
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _int_list(value) -> list[int]:
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {type(value).__name__}")
-    return [int(v) for v in value]
+    return [_int(v) for v in value]
 
 
 def _depth(value) -> int | None:
-    return None if value in (None, "full") else int(value)
+    """A chain depth: an integer, or None or "full" for full depth."""
+    if value in (None, "full"):
+        return None
+    return int(value) if isinstance(value, str) else _int(value)
+
+
+def _choice(*choices):
+    def convert(value):
+        if value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return value
+
+    return convert
 
 
 # How each config-file key is read; flags are parsed by argparse instead.
 CONFIG_KEYS = {
     "poly": _text,
-    "s": float,
-    "precision": _text,
-    "format": _text,
+    "s": _number,
+    "precision": _choice(*PRECISIONS),
+    "format": _choice(*FORMATS),
     "out": _text,
     "powers": _int_list,
     "limits": _int_list,
@@ -265,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("table1", "table2", "figure-data", "residual", "mseries", "compare"):
+    for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--poly", help='polynomial spec: "integers", "shell:p", or "1,-3,3"')
         sp.add_argument("--powers", help="comma-separated shell powers")
@@ -273,11 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--x", type=int, help="single truncation limit (shorthand)")
         sp.add_argument("--s", type=float, help="exponent, default 1")
         sp.add_argument("--depth", help='chain depth: an integer or "full"')
-        sp.add_argument("--precision", choices=(EXACT, FLOAT))
+        sp.add_argument("--precision", choices=PRECISIONS)
         sp.add_argument("--exact", action="store_true", help="same as --precision exact")
         sp.add_argument("--float", dest="float_mode", action="store_true",
                         help="same as --precision float")
-        sp.add_argument("--format", choices=("csv", "json"))
+        sp.add_argument("--format", choices=FORMATS)
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--config", help="JSON config file; flags override it")
     return parser
@@ -286,32 +274,25 @@ def build_parser() -> argparse.ArgumentParser:
 def _build_config(args) -> RunConfig:
     cfg = RunConfig()
     cfg.precision = os.environ.get(PRECISION_ENV, cfg.precision)
-    if cfg.precision not in (EXACT, FLOAT):
+    if cfg.precision not in PRECISIONS:
         raise ValueError(f"bad {PRECISION_ENV} value {cfg.precision!r}")
     if args.config:
         _apply_config(cfg, _load_config(args.config))
-    if args.poly is not None:
-        cfg.poly = args.poly
-    if args.powers is not None:
-        cfg.powers = _parse_int_list(args.powers)
-    if args.limits is not None:
-        cfg.limits = _parse_int_list(args.limits)
+    for key in ("poly", "s", "precision", "format", "out"):
+        value = getattr(args, key)
+        if value is not None:
+            setattr(cfg, key, value)
+    for key in ("powers", "limits"):
+        if getattr(args, key) is not None:
+            setattr(cfg, key, _parse_int_list(getattr(args, key)))
     if args.x is not None:
         cfg.limits = [args.x]
-    if args.s is not None:
-        cfg.s = args.s
     if args.depth is not None:
         cfg.max_depth = _depth(args.depth)
-    if args.precision is not None:
-        cfg.precision = args.precision
     if args.exact:
         cfg.precision = EXACT
     if args.float_mode:
         cfg.precision = FLOAT
-    if args.format is not None:
-        cfg.format = args.format
-    if args.out is not None:
-        cfg.out = args.out
 
     if any(b <= a for a, b in zip(cfg.limits, cfg.limits[1:])):
         raise ValueError(f"limits must be strictly ascending: {cfg.limits}")
@@ -330,38 +311,20 @@ def run(argv=None, stdout=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)
-        command = args.command
-        if command in ("residual", "mseries", "compare") and not cfg.poly:
-            raise ValueError(f"{command} requires --poly")
-        if command == "table1":
-            payload = cmd_table1(cfg)
-        elif command == "table2":
-            payload = cmd_table2(cfg)
-        elif command == "figure-data":
-            payload = cmd_figure_data(cfg)
-        elif command == "residual":
-            payload = cmd_residual(cfg)
-        elif command == "mseries":
-            payload = cmd_mseries(cfg)
+        handler, columns = COMMANDS[args.command]
+        payload = handler(cfg)
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+                _emit(payload, columns, cfg.format, fh)
         else:
-            payload = cmd_compare(cfg)
+            _emit(payload, columns, cfg.format, stdout)
     except BoundViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (NonsieveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # the config file could not be read
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-                _emit(cfg, payload, fh)
-        else:
-            _emit(cfg, payload, stdout)
-    except OSError as exc:
+    except OSError as exc:  # the config file or the output could not be opened
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

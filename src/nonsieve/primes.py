@@ -79,25 +79,6 @@ class PrimeCensus:
     skipped_units: int = 0
 
 
-def count_primes_in_outputs(poly: IntegerPolynomial, x: int) -> int:
-    """Number of n in [1, x] with f(n) prime."""
-    return sum(1 for n in range(1, x + 1) if is_prime(poly(n)))
-
-
-def log_density_sum(poly: IntegerPolynomial, x: int) -> float:
-    """sum_{n=2}^{x} 1/ln f(n), compensated accumulation.
-
-    Indices with f(n) = 1 are skipped (ln 1 = 0); census reports how many.
-    """
-    acc = KahanSum()
-    for n in range(2, x + 1):
-        v = poly(n)
-        if v == 1:
-            continue
-        acc.add(1.0 / log(v))
-    return acc.value
-
-
 def census(
     poly: IntegerPolynomial, x: int, with_witnesses: bool = False
 ) -> PrimeCensus:
@@ -131,3 +112,24 @@ def census(
         witnesses=tuple(witnesses) if with_witnesses else None,
         skipped_units=skipped,
     )
+
+
+def count_primes_in_outputs(poly: IntegerPolynomial, x: int) -> int:
+    """Number of n in [1, x] with f(n) prime."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return census(poly, x).prime_count
+
+
+def log_density_sum(poly: IntegerPolynomial, x: int) -> float:
+    """sum_{n=2}^{x} 1/ln f(n), compensated accumulation.
+
+    Indices with f(n) = 1 are skipped (ln 1 = 0); census reports how many.
+    No primality is tested, so outputs at or above 2**64 are fine here.
+    """
+    acc = KahanSum()
+    for n in range(2, x + 1):
+        v = poly(n)
+        if v != 1:
+            acc.add(1.0 / log(v))
+    return acc.value

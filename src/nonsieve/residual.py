@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .errors import BoundViolationError, EmptyProductWarning, InsufficientDataError, NotMonotoneError
 from .numerics import (
     EXACT,
-    FLOAT,
     CompensatedProduct,
     KahanSum,
     PrecisionValue,
@@ -31,10 +30,6 @@ from .numerics import (
 from .polynomial import IntegerPolynomial, validate_monotone
 
 
-def _is_constant_one(poly: IntegerPolynomial) -> bool:
-    return poly.coefficients == (1,)
-
-
 def start_index(poly: IntegerPolynomial, x: int) -> int | None:
     """Smallest n <= x with f(n) >= 2, or None if every value is 1."""
     for n in range(1, x + 1):
@@ -43,15 +38,20 @@ def start_index(poly: IntegerPolynomial, x: int) -> int | None:
     return None
 
 
-def _check_preconditions(poly: IntegerPolynomial, x: int) -> None:
-    if x < 1:
-        raise ValueError(f"truncation limit must be >= 1, got {x}")
-    if x >= 2 and not _is_constant_one(poly):
+def _checked_start(poly: IntegerPolynomial, x_list: list[int], s, mode: str) -> int | None:
+    """Check the first of the ascending limits, f's monotonicity up to the
+    last one and the exponent; return the start index n0 at the last limit."""
+    if x_list[0] < 1:
+        raise ValueError(f"truncation limit must be >= 1, got {x_list[0]}")
+    x = x_list[-1]
+    if x >= 2 and poly.coefficients != (1,):  # the constant 1 is exempt
         report = validate_monotone(poly, x)
         if not report:
             raise NotMonotoneError(
                 f"{poly.label} is not increasing at n={report.first_violation}"
             )
+    require_exactable_exponent(s, mode)
+    return start_index(poly, x)
 
 
 def _term(value: int, s) -> float:
@@ -132,14 +132,22 @@ def _float_zps(poly: IntegerPolynomial, x_list: list[int], s, n0: int | None):
         )
 
 
-@functools.lru_cache(maxsize=1)
-def _exact_zp(poly: IntegerPolynomial, x: int, s: int) -> tuple[PrecisionValue, PrecisionValue]:
-    """Exact Z(x) and P(x) from one tree over f(n0..x)**s.
+def _zps(poly: IntegerPolynomial, x_list: list[int], s, mode: str, n0: int | None):
+    """(Z, P) at each ascending limit in the accumulation mode."""
+    if mode == EXACT:
+        return _exact_zps(poly, x_list, int(s), n0)
+    return _float_zps(poly, x_list, s, n0)
 
-    residual() asks zeta_partial and then euler_product_partial for the
-    same (f, x, s); keeping the last answer lets both use one tree.
+
+@functools.lru_cache(maxsize=1)
+def _zp(poly: IntegerPolynomial, x: int, s, mode: str):
+    """Z(x), P(x) and the start index n0 from one checked pass over f(1..x).
+
+    residual() asks zeta_partial, euler_product_partial and then n0 for the
+    same (f, x, s, mode); keeping the last answer lets all three use one pass.
     """
-    return next(_exact_zps(poly, [x], s, start_index(poly, x)))
+    n0 = _checked_start(poly, [x], s, mode)
+    return (*next(_zps(poly, [x], s, mode, n0)), n0)
 
 
 def zeta_partial(
@@ -150,15 +158,7 @@ def zeta_partial(
     When f(1) = 1 the term 1/f(1)**s itself supplies the leading 1, so no
     extra unit is added; when f(1) > 1 the leading 1 is explicit.
     """
-    _check_preconditions(poly, x)
-    require_exactable_exponent(s, mode)
-    if mode == EXACT:
-        return _exact_zp(poly, x, int(s))[0]
-    leading = 1 if poly(1) > 1 else 0
-    acc = KahanSum(float(leading))
-    for n in range(1, x + 1):
-        acc.add(_term(poly(n), s))
-    return PrecisionValue.compensated(*acc.as_pair())
+    return _zp(poly, x, s, mode)[0]
 
 
 def euler_product_partial(
@@ -169,26 +169,14 @@ def euler_product_partial(
     An empty range is the empty product 1, flagged with a warning rather
     than an error so family scans never abort.
     """
-    _check_preconditions(poly, x)
-    require_exactable_exponent(s, mode)
-    n0 = start_index(poly, x)
-    if n0 is None or x < n0:
+    _, p, n0 = _zp(poly, x, s, mode)
+    if n0 is None:
         warnings.warn(
             f"{poly.label}: no factor with f(n) >= 2 up to x={x}",
             EmptyProductWarning,
             stacklevel=2,
         )
-        return (
-            PrecisionValue.exact(1)
-            if mode == EXACT
-            else PrecisionValue.compensated(1.0)
-        )
-    if mode == EXACT:
-        return _exact_zp(poly, x, int(s))[1]
-    acc = CompensatedProduct()
-    for n in range(n0, x + 1):
-        acc.multiply(1.0 - _term(poly(n), s))
-    return PrecisionValue.compensated(*acc.as_pair())
+    return p
 
 
 @dataclass(frozen=True)
@@ -238,7 +226,7 @@ def _make_result(
         label=poly.label,
         x=x,
         s=s,
-        start_index=n0,
+        start_index=None if empty else n0,
         zeta_partial=z,
         product_partial=p,
         m_value=m,
@@ -254,7 +242,7 @@ def residual(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptyProductWarning)
         p = euler_product_partial(poly, x, s, mode)
-    return _make_result(poly, x, s, mode, z, p, start_index(poly, x))
+    return _make_result(poly, x, s, mode, z, p, _zp(poly, x, s, mode)[2])
 
 
 def residual_scan(
@@ -267,22 +255,9 @@ def residual_scan(
         raise ValueError(f"limits must be strictly ascending: {x_list}")
     if not x_list:
         return []
-    if x_list[0] < 1:
-        raise ValueError(f"truncation limit must be >= 1, got {x_list[0]}")
-    _check_preconditions(poly, x_list[-1])
-    require_exactable_exponent(s, mode)
-
-    n0 = start_index(poly, x_list[-1])
-    if mode == EXACT:
-        zps = _exact_zps(poly, x_list, int(s), n0)
-    else:
-        zps = _float_zps(poly, x_list, s, n0)
-    return [
-        _make_result(
-            poly, x, s, mode, z, p, n0 if (n0 is not None and n0 <= x) else None
-        )
-        for x, (z, p) in zip(x_list, zps)
-    ]
+    n0 = _checked_start(poly, x_list, s, mode)
+    zps = _zps(poly, x_list, s, mode, n0)
+    return [_make_result(poly, x, s, mode, z, p, n0) for x, (z, p) in zip(x_list, zps)]
 
 
 @dataclass(frozen=True)

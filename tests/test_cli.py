@@ -65,6 +65,11 @@ class TestTable2:
         assert code == 0
         assert "-0.70856869191073" in out
 
+    def test_empty_table_prints_table_header(self, capsys):
+        code, out = run_cli(capsys, "table2", "--powers", "")
+        assert code == 0
+        assert out == "label,x,prime_count,log_density_sum,m_value,mode\n"
+
 
 class TestFigureData:
     def test_default_grid(self, capsys):
@@ -206,3 +211,28 @@ class TestBadInputExitCodes:
 
     def test_limit_below_one(self, capsys):
         assert self.run_err(capsys, "figure-data", "--limits", "0,5") == 2
+
+    @pytest.mark.parametrize("key, value", [("precision", "bogus"), ("precision", None),
+                                            ("format", "xml")])
+    def test_config_choice_outside_flag_choices(self, capsys, tmp_path, key, value):
+        cfg = self.config(tmp_path, limits=[3], **{key: value})
+        assert self.run_err(capsys, "residual", "--config", cfg) == 2
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("table2", "powers", [2.9]),
+        ("residual", "limits", [100.7]),
+        ("residual", "limits", [True]),
+        ("compare", "max_depth", 2.5),
+        ("residual", "s", True),
+        ("residual", "s", "2"),
+    ])
+    def test_config_non_integer_rejected(self, capsys, tmp_path, command, key, value):
+        cfg = self.config(tmp_path, **{"limits": [8], key: value})
+        assert self.run_err(capsys, command, "--config", cfg) == 2
+
+    def test_config_integers_and_choices_accepted(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, limits=[8], max_depth=3, precision="float", format="json")
+        code, out = run_cli(capsys, "compare", "--config", cfg)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["depth"] == 3 and payload["mode"] == "float"

@@ -1,0 +1,63 @@
+"""CLI stdout compared byte for byte with golden files.
+
+Each file in tests/golden/ is the stdout of one command below, taken
+before the residual, census and CLI code were folded into one pass per
+mode, one census loop and one command table.  A refactor that changes a
+single byte of any of them fails here.
+"""
+
+import io
+from pathlib import Path
+
+import pytest
+
+from nonsieve.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+TREND = ",".join(str(x) for x in range(10, 201, 10))
+
+CASES = {
+    # README examples
+    "readme_table1": ("table1",),
+    "readme_table2": ("table2", "--format", "json"),
+    "readme_figure_data": ("figure-data", "--limits", TREND),
+    "readme_residual": ("residual", "--poly", "shell:3", "--x", "3", "--exact"),
+    "readme_mseries": ("mseries", "--poly", "shell:3", "--x", "3", "--depth", "2", "--exact"),
+    "readme_compare": ("compare", "--poly", "shell:3", "--x", "8"),
+    # tables and figure data, both formats and both modes
+    **{
+        f"{name}_{mode}_{fmt}": (cmd, *extra, "--precision", mode, "--format", fmt)
+        for name, cmd, extra in (
+            ("table1", "table1", ("--limits", "2,50,100")),
+            ("table2", "table2", ("--powers", "1,2,3,5", "--limits", "5,60")),
+            ("figure_data", "figure-data", ("--powers", "2,3", "--limits", "1,2,7,40,41")),
+        )
+        for mode in ("exact", "float")
+        for fmt in ("csv", "json")
+    },
+    "table2_s2": ("table2", "--powers", "2,3", "--limits", "30,90", "--s", "2"),
+    "figure_data_float_s15": (
+        "figure-data", "--powers", "2", "--limits", "10,50", "--s", "1.5", "--float",
+    ),
+    # single-polynomial commands, both modes
+    **{
+        f"{name}_{mode}": (cmd, "--poly", poly, "--x", x, *extra, f"--{mode}")
+        for name, cmd, poly, x, extra in (
+            ("residual", "residual", "1,1,2", "40", ()),
+            ("residual_unit", "residual", "1", "5", ()),
+            ("mseries", "mseries", "shell:2", "12", ("--depth", "4")),
+            ("mseries_full", "mseries", "integers", "9", ("--depth", "full")),
+            ("compare", "compare", "shell:3", "12", ("--depth", "full")),
+        )
+        for mode in ("exact", "float")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(name, monkeypatch):
+    monkeypatch.delenv("NONSIEVE_PRECISION", raising=False)
+    out = io.StringIO()
+    assert run(list(CASES[name]), stdout=out) == 0
+    assert out.getvalue() == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -132,6 +133,15 @@ class TestLogDensitySum:
     def test_monotone_in_x(self):
         values = [log_density_sum(prime_shell(3), x) for x in range(2, 60)]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+    def test_outputs_beyond_primality_range(self):
+        # f(n) passes 2**64 here, where census raises; the log sum needs no primality
+        value = log_density_sum(prime_shell(11), 200)
+        assert math.isfinite(value) and value > 0
+        shell = [n**11 - (n - 1) ** 11 for n in range(2, 201)]
+        assert value == pytest.approx(sum(1 / math.log(v) for v in shell), rel=1e-12)
+        with pytest.raises(OutOfRangeError):
+            census(prime_shell(11), 200)
 
 
 class TestCensus:
