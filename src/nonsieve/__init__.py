@@ -36,6 +36,7 @@ from .polynomial import (
 from .primes import (
     PrimeCensus,
     census,
+    census_scan,
     count_primes_in_outputs,
     is_prime,
     is_prime_trial_division,

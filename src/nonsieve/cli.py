@@ -20,7 +20,7 @@ from .errors import BoundViolationError, NonsieveError
 from .mseries import compare_to_residual, mseries_literal
 from .numerics import EXACT, FLOAT, format_float
 from .polynomial import IntegerPolynomial, integers, parse_poly_spec, prime_shell
-from .primes import census
+from .primes import census_scan
 from .residual import residual, residual_scan
 
 PRECISION_ENV = "NONSIEVE_PRECISION"
@@ -52,11 +52,18 @@ def _s_value(cfg: RunConfig):
     return int(cfg.s) if float(cfg.s) == int(cfg.s) else float(cfg.s)
 
 
-def _table_row(poly: IntegerPolynomial, row_key, x: int, cfg: RunConfig) -> dict:
+def _table_rows(poly: IntegerPolynomial, row_key, cfg: RunConfig) -> list[dict]:
+    """One row per limit, from one census scan and one residual scan."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        cen = census(poly, x)
-        res = residual(poly, x, _s_value(cfg), cfg.precision)
+        censuses = census_scan(poly, cfg.limits)
+        results = residual_scan(poly, cfg.limits, _s_value(cfg), cfg.precision)
+    return [_table_row(poly, row_key, cen, res, cfg.precision)
+            for cen, res in zip(censuses, results)]
+
+
+def _table_row(poly: IntegerPolynomial, row_key, cen, res, mode: str) -> dict:
+    x = res.x
     m_string = res.m_value.decimal_str(14)
     flags = []
     if cen.skipped_units:
@@ -76,23 +83,17 @@ def _table_row(poly: IntegerPolynomial, row_key, x: int, cfg: RunConfig) -> dict
         "prime_count": cen.prime_count,
         "log_density_sum": format_float(cen.log_density_sum, 5),
         "m_value": m_string,
-        "mode": cfg.precision,
+        "mode": mode,
         "flags": flags,
     }
 
 
 def cmd_table1(cfg: RunConfig) -> list[dict]:
-    poly = integers()
-    return [_table_row(poly, "integers", x, cfg) for x in cfg.limits]
+    return _table_rows(integers(), "integers", cfg)
 
 
 def cmd_table2(cfg: RunConfig) -> list[dict]:
-    rows = []
-    for p in cfg.powers:
-        poly = prime_shell(p)
-        for x in cfg.limits:
-            rows.append(_table_row(poly, p, x, cfg))
-    return rows
+    return [row for p in cfg.powers for row in _table_rows(prime_shell(p), p, cfg)]
 
 
 def cmd_figure_data(cfg: RunConfig) -> list[dict]:
@@ -261,10 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--x", type=int, help="single truncation limit (shorthand)")
         sp.add_argument("--s", type=float, help="exponent, default 1")
         sp.add_argument("--depth", help='chain depth: an integer or "full"')
-        sp.add_argument("--precision", choices=PRECISIONS)
-        sp.add_argument("--exact", action="store_true", help="same as --precision exact")
-        sp.add_argument("--float", dest="float_mode", action="store_true",
-                        help="same as --precision float")
+        precision = sp.add_mutually_exclusive_group()
+        precision.add_argument("--precision", choices=PRECISIONS)
+        precision.add_argument("--exact", dest="precision", action="store_const", const=EXACT,
+                               help="same as --precision exact")
+        precision.add_argument("--float", dest="precision", action="store_const", const=FLOAT,
+                               help="same as --precision float")
         sp.add_argument("--format", choices=FORMATS)
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--config", help="JSON config file; flags override it")
@@ -289,10 +292,6 @@ def _build_config(args) -> RunConfig:
         cfg.limits = [args.x]
     if args.depth is not None:
         cfg.max_depth = _depth(args.depth)
-    if args.exact:
-        cfg.precision = EXACT
-    if args.float_mode:
-        cfg.precision = FLOAT
 
     if any(b <= a for a, b in zip(cfg.limits, cfg.limits[1:])):
         raise ValueError(f"limits must be strictly ascending: {cfg.limits}")

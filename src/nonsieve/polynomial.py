@@ -37,6 +37,23 @@ class IntegerPolynomial:
             )
         return value
 
+    def values(self, lo: int, hi: int):
+        """Yield f(lo), f(lo + 1), ..., f(hi), each as __call__ returns it.
+
+        The walks over f(1..x) read this generator: one Horner loop on
+        locals per value, no method call, and no list of the outputs.
+        """
+        if lo < 1:
+            raise ValueError(f"polynomial domain is n >= 1, got {lo}")
+        coeffs = self.coefficients[::-1]
+        for n in range(lo, hi + 1):
+            value = 0
+            for c in coeffs:
+                value = value * n + c
+            if value < 1:
+                raise NonIntegerValuedError(f"{self.label}: f({n}) = {value} < 1")
+            yield value
+
     def __str__(self) -> str:
         return self.label
 
@@ -95,9 +112,9 @@ def validate_monotone(poly: IntegerPolynomial, x: int) -> MonotoneReport:
     """
     if x < 2:
         raise ValueError(f"monotone check needs x >= 2, got {x}")
-    prev = poly(1)
-    for n in range(2, x + 1):
-        cur = poly(n)
+    values = poly.values(1, x)
+    prev = next(values)
+    for n, cur in enumerate(values, 2):
         if cur <= prev and not (n == 2 and prev == 1 and cur == 1):
             return MonotoneReport(False, first_violation=n - 1)
         prev = cur

@@ -1,26 +1,49 @@
 """Primality of polynomial outputs and the log-density sum.
 
-is_prime is deterministic for the whole 64-bit range via a fixed
-Miller-Rabin witness set; trial division stays available as the
-independent cross-check.
+is_prime is deterministic for the whole 64-bit range.  Its Miller-Rabin
+witnesses are the first k primes, with k chosen by the size of the value:
+below the smallest strong pseudoprime to the first k prime bases, those k
+bases decide primality (Jaeschke, "On strong pseudoprimes to several
+bases", Math. Comp. 1993; Sorenson & Webster, "Strong pseudoprimes to
+twelve prime bases", Math. Comp. 2017, arXiv 2015).  Trial division stays
+available as the independent cross-check.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt, log
 
 from .errors import OutOfRangeError
-from .numerics import KahanSum
 from .polynomial import IntegerPolynomial
 
 _U64 = 1 << 64
 
-# Sufficient deterministic witness set for all v < 2**64.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# psi_k, the smallest strong pseudoprime to all of the first k prime bases,
+# for the k used below: the bases _SMALL_PRIMES[:k] are deterministic for
+# every v < psi_k.  psi_8 = psi_7 and psi_10 = psi_11 = psi_9, so k = 8, 10
+# and 11 gain nothing; psi_12 > 2**64, so the first 12 primes cover the rest.
+_PSI = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+)
+_BOUNDS = tuple(bound for bound, _ in _PSI)
+_BASE_SETS = tuple(_SMALL_PRIMES[:k] for _, k in _PSI) + (_SMALL_PRIMES,)
+
+
+def bases_for(v: int) -> tuple[int, ...]:
+    """The Miller-Rabin bases that decide primality of v < 2**64."""
+    return _BASE_SETS[bisect_right(_BOUNDS, v)]
 
 
 def is_prime(v: int) -> bool:
@@ -36,12 +59,18 @@ def is_prime(v: int) -> bool:
             return True
         if v % p == 0:
             return False
+    return strong_probable_prime(v, bases_for(v))
+
+
+def strong_probable_prime(v: int, bases) -> bool:
+    """Miller-Rabin: True when odd v > 2 is a strong probable prime to
+    every one of the bases, each in 2..v-2."""
     d = v - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _WITNESSES:
+    for a in bases:
         x = pow(a, d, v)
         if x == 1 or x == v - 1:
             continue
@@ -79,39 +108,62 @@ class PrimeCensus:
     skipped_units: int = 0
 
 
-def census(
-    poly: IntegerPolynomial, x: int, with_witnesses: bool = False
-) -> PrimeCensus:
-    """Prime count and log-density sum for one polynomial and limit."""
+def census_scan(
+    poly: IntegerPolynomial, x_list, with_witnesses: bool = False
+) -> list[PrimeCensus]:
+    """Prime count and log-density sum at each ascending limit, from one
+    walk over f(1..max(x_list)).
+
+    Raises OutOfRangeError at the first f(n) >= 2**64, as is_prime does.
+    The log sum is KahanSum.add written out on locals, operation for
+    operation, so it is bit-identical to log_density_sum.
+    """
+    x_list = list(x_list)
+    if any(b <= a for a, b in zip(x_list, x_list[1:])):
+        raise ValueError(f"limits must be strictly ascending: {x_list}")
+    results = []
     witnesses = []
-    count = 0
-    skipped = 0
-    acc = KahanSum()
-    for n in range(1, x + 1):
-        v = poly(n)
-        if is_prime(v):
-            count += 1
-            if with_witnesses:
-                witnesses.append(n)
-        if n >= 2:
-            if v == 1:
-                skipped += 1
-            else:
-                acc.add(1.0 / log(v))
+    count = skipped = 0
+    total = comp = 0.0
+    values = poly.values(1, x_list[-1] if x_list else 0)
+    n = 0  # the last n walked
+    for x in x_list:
+        for n, v in zip(range(n + 1, x + 1), values):
+            if is_prime(v):
+                count += 1
+                if with_witnesses:
+                    witnesses.append(n)
+            if n >= 2:
+                if v == 1:
+                    skipped += 1
+                else:
+                    t = 1.0 / log(v)
+                    z = total + t
+                    bb = z - total
+                    comp += (total - (z - bb)) + (t - bb)
+                    total = z
+        results.append(PrimeCensus(
+            label=poly.label,
+            x=x,
+            prime_count=count,
+            log_density_sum=total + comp,
+            witnesses=tuple(witnesses) if with_witnesses else None,
+            skipped_units=skipped,
+        ))
     if skipped:
         warnings.warn(
             f"{poly.label}: {skipped} unit outputs skipped in the log-density sum",
             UserWarning,
             stacklevel=2,
         )
-    return PrimeCensus(
-        label=poly.label,
-        x=x,
-        prime_count=count,
-        log_density_sum=acc.value,
-        witnesses=tuple(witnesses) if with_witnesses else None,
-        skipped_units=skipped,
-    )
+    return results
+
+
+def census(
+    poly: IntegerPolynomial, x: int, with_witnesses: bool = False
+) -> PrimeCensus:
+    """Prime count and log-density sum for one polynomial and limit."""
+    return census_scan(poly, [x], with_witnesses)[0]
 
 
 def count_primes_in_outputs(poly: IntegerPolynomial, x: int) -> int:
@@ -127,9 +179,12 @@ def log_density_sum(poly: IntegerPolynomial, x: int) -> float:
     Indices with f(n) = 1 are skipped (ln 1 = 0); census reports how many.
     No primality is tested, so outputs at or above 2**64 are fine here.
     """
-    acc = KahanSum()
-    for n in range(2, x + 1):
-        v = poly(n)
+    total = comp = 0.0
+    for v in poly.values(2, x):
         if v != 1:
-            acc.add(1.0 / log(v))
-    return acc.value
+            t = 1.0 / log(v)
+            z = total + t  # KahanSum.add on locals, as in census_scan
+            bb = z - total
+            comp += (total - (z - bb)) + (t - bb)
+            total = z
+    return total + comp

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 from .errors import BoundViolationError, EmptyProductWarning, InsufficientDataError, NotMonotoneError
 from .numerics import (
+    _SPLITTER,
     EXACT,
-    CompensatedProduct,
-    KahanSum,
     PrecisionValue,
     dd_add,
     dd_mul,
@@ -32,8 +31,8 @@ from .polynomial import IntegerPolynomial, validate_monotone
 
 def start_index(poly: IntegerPolynomial, x: int) -> int | None:
     """Smallest n <= x with f(n) >= 2, or None if every value is 1."""
-    for n in range(1, x + 1):
-        if poly(n) >= 2:
+    for n, v in enumerate(poly.values(1, x), 1):
+        if v >= 2:
             return n
     return None
 
@@ -54,12 +53,6 @@ def _checked_start(poly: IntegerPolynomial, x_list: list[int], s, mode: str) -> 
     return start_index(poly, x)
 
 
-def _term(value: int, s) -> float:
-    if s == 1:
-        return 1.0 / value
-    return float(value) ** -s
-
-
 # Below this many terms a range is folded term by term: the products are
 # still small, and Python call overhead would dominate a deeper tree.
 _LEAF = 8
@@ -74,8 +67,8 @@ def _split(poly: IntegerPolynomial, lo: int, hi: int, s: int) -> tuple[int, int,
     """
     if hi - lo <= _LEAF:
         s_num, den, q = 0, 1, 1
-        for n in range(lo, hi):
-            t = poly(n) ** s
+        for t in poly.values(lo, hi - 1):
+            t **= s
             s_num, den, q = s_num * t + den, den * t, q * (t - 1)
         return s_num, den, q
     mid = (lo + hi) // 2
@@ -115,21 +108,36 @@ def _exact_zps(poly: IntegerPolynomial, x_list: list[int], s: int, n0: int | Non
 
 
 def _float_zps(poly: IntegerPolynomial, x_list: list[int], s, n0: int | None):
-    """Compensated (Z, P) at each ascending limit, extended term by term."""
-    zacc = KahanSum(1.0 if poly(1) > 1 else 0.0)
-    pacc = CompensatedProduct()
-    n = 1
+    """Compensated (Z, P) at each ascending limit, from one walk over f.
+
+    Z is KahanSum.add and P is CompensatedProduct.multiply, written out on
+    locals operation for operation, so both are bit-identical to what those
+    classes give.
+    """
+    total, comp = (1.0 if n0 == 1 else 0.0), 0.0  # Z: f(1) > 1 exactly when n0 = 1
+    prod, err = 1.0, 0.0  # P
+    first = x_list[-1] + 1 if n0 is None else n0  # the first n with a factor
+    values = poly.values(1, x_list[-1])
+    n = 0  # the last n walked
     for x in x_list:
-        while n <= x:
-            t = _term(poly(n), s)
-            zacc.add(t)
-            if n0 is not None and n >= n0:
-                pacc.multiply(1.0 - t)
-            n += 1
-        yield (
-            PrecisionValue.compensated(*zacc.as_pair()),
-            PrecisionValue.compensated(*pacc.as_pair()),
-        )
+        for n, v in zip(range(n + 1, x + 1), values):
+            t = 1.0 / v if s == 1 else float(v) ** -s
+            z = total + t  # TwoSum(total, t)
+            bb = z - total
+            comp += (total - (z - bb)) + (t - bb)
+            total = z
+            if n >= first:
+                f = 1.0 - t
+                p = prod * f  # TwoProduct(prod, f), Veltkamp splits
+                c = _SPLITTER * prod
+                ah = c - (c - prod)
+                al = prod - ah
+                c = _SPLITTER * f
+                bh = c - (c - f)
+                bl = f - bh
+                err = err * f + (((ah * bh - p) + ah * bl + al * bh) + al * bl)
+                prod = p
+        yield PrecisionValue.compensated(total, comp), PrecisionValue.compensated(prod, err)
 
 
 def _zps(poly: IntegerPolynomial, x_list: list[int], s, mode: str, n0: int | None):

@@ -176,6 +176,45 @@ class TestConfigAndEnvironment:
             assert abs(e_m - f_m) < 1e-13
 
 
+class TestPrecisionFlags:
+    @pytest.mark.parametrize("flags", [
+        ("--exact", "--precision", "float"),
+        ("--precision", "exact", "--float"),
+        ("--exact", "--float"),
+        ("--float", "--exact"),
+    ])
+    def test_two_precision_flags_exit_2(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            run(["residual", "--poly", "shell:3", "--x", "3", *flags])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, mode", [
+        (("--exact",), "exact"),
+        (("--float",), "float"),
+        (("--precision", "float"), "float"),
+        ((), "exact"),
+    ])
+    def test_one_precision_flag_sets_the_mode(self, capsys, flags, mode):
+        code, out = run_cli(capsys, "residual", "--poly", "shell:3", "--x", "3", *flags)
+        assert code == 0 and json.loads(out)["mode"] == mode
+
+
+class TestTableScans:
+    @pytest.mark.parametrize("precision", ["exact", "float"])
+    def test_rows_equal_one_limit_runs(self, capsys, precision):
+        # each cell comes from scans over all limits; it must equal the cell alone
+        argv = ["table2", "--powers", "1,2,7", "--precision", precision, "--format", "json"]
+        code, out = run_cli(capsys, *argv, "--limits", "1,2,30,200")
+        assert code == 0
+        rows = {(row["label"], row["x"]): row for row in json.loads(out)}
+        alone = {}
+        for x in ("1", "2", "30", "200"):
+            for row in json.loads(run_cli(capsys, *argv, "--limits", x)[1]):
+                alone[(row["label"], row["x"])] = row
+        assert len(rows) == 12 and rows == alone
+
+
 class TestBadInputExitCodes:
     """Each bad input ends with its documented exit code and one error line."""
 

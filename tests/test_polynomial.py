@@ -1,6 +1,7 @@
 import pytest
 
 from nonsieve import (
+    IntegerPolynomial,
     NonIntegerValuedError,
     NonsieveError,
     integers,
@@ -114,3 +115,25 @@ class TestParsePolySpec:
             parse_poly_spec("shell:x")
         with pytest.raises(ValueError):
             parse_poly_spec("1;2;3")
+
+
+class TestValues:
+    @pytest.mark.parametrize("poly", [integers(), prime_shell(1), prime_shell(3),
+                                      make_polynomial([3, -3, 1])])
+    def test_equals_calls(self, poly):
+        for lo, hi in ((1, 1), (1, 50), (7, 40), (5, 4)):
+            assert list(poly.values(lo, hi)) == list(map(poly, range(lo, hi + 1)))
+
+    def test_value_below_one_raises_as_the_call_does(self):
+        poly = IntegerPolynomial((7, -6, 1), "n^2-6n+7")  # f(1) = 2, f(2) = -1
+        values = poly.values(1, 5)
+        assert next(values) == 2
+        with pytest.raises(NonIntegerValuedError) as from_values:
+            next(values)
+        with pytest.raises(NonIntegerValuedError) as from_call:
+            poly(2)
+        assert str(from_values.value) == str(from_call.value) == "n^2-6n+7: f(2) = -1 < 1"
+
+    def test_domain_starts_at_one(self):
+        with pytest.raises(ValueError):
+            next(integers().values(0, 3))

@@ -1,18 +1,64 @@
 import math
 import random
+import warnings
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_exact_oracle import SPECS
 
 from nonsieve import (
     OutOfRangeError,
     census,
+    census_scan,
     count_primes_in_outputs,
     integers,
     is_prime,
     is_prime_trial_division,
     log_density_sum,
+    parse_poly_spec,
     prime_shell,
 )
+from nonsieve.primes import PrimeCensus, bases_for, strong_probable_prime
+
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# psi_k, the smallest strong pseudoprime to the first k prime bases, with
+# k and a factorization: the witness table's bounds.
+PSI = (
+    (2047, 1, (23, 89)),
+    (1373653, 2, (829, 1657)),
+    (25326001, 3, (2251, 11251)),
+    (3215031751, 4, (151, 751, 28351)),
+    (2152302898747, 5, (6763, 10627, 29947)),
+    (3474749660383, 6, (1303, 16927, 157543)),
+    (341550071728321, 7, (10670053, 32010157)),
+    (3825123056546413051, 9, (149491, 747451, 34233211)),
+)
+
+
+def miller_rabin_all_twelve(v):
+    """The fixed 12-base test, written out independently of the package."""
+    if v < 2:
+        return False
+    for p in FIRST_PRIMES:
+        if v % p == 0:
+            return v == p
+    d, r = v - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in FIRST_PRIMES:
+        x = pow(a, d, v)
+        if x in (1, v - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % v
+            if x == v - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def sieve(limit):
@@ -161,3 +207,58 @@ class TestCensus:
         assert c.prime_count == 0
         assert c.log_density_sum == 0.0
         assert c.skipped_units == 19
+
+    def test_scan_rejects_non_ascending(self):
+        with pytest.raises(ValueError):
+            census_scan(integers(), [100, 50])
+
+    def test_scan_raises_at_first_value_beyond_primality_range(self):
+        with pytest.raises(OutOfRangeError, match=str(prime_shell(11)(67))):
+            census_scan(prime_shell(11), [10, 200])  # f(67) is the first >= 2**64
+        assert prime_shell(11)(66) < 2**64 <= prime_shell(11)(67)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    spec=st.sampled_from(SPECS),
+    xs=st.lists(st.integers(0, 400), min_size=1, max_size=6, unique=True).map(sorted),
+    with_witnesses=st.booleans(),
+)
+def test_census_scan_equals_one_census_per_limit(spec, xs, with_witnesses):
+    poly = parse_poly_spec(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        scan = census_scan(poly, xs, with_witnesses)
+        cells = [census(poly, x, with_witnesses) for x in xs]
+    assert len(scan) == len(cells)
+    for a, b in zip(scan, cells):
+        for field in fields(PrimeCensus):
+            assert getattr(a, field.name) == getattr(b, field.name), field.name
+        assert a.log_density_sum == log_density_sum(poly, a.x)
+
+
+class TestWitnessTable:
+    @pytest.mark.parametrize("psi, k, factors", PSI)
+    def test_each_bound_is_a_composite_strong_pseudoprime(self, psi, k, factors):
+        assert math.prod(factors) == psi and all(f > 1 for f in factors)
+        # the first k prime bases do not see through psi_k ...
+        assert strong_probable_prime(psi, FIRST_PRIMES[:k])
+        # ... so psi_k itself is decided by the next, larger set
+        assert len(bases_for(psi)) > k and len(bases_for(psi - 1)) == k
+        assert not is_prime(psi)
+
+    def test_bases_are_smallest_prime_prefixes(self):
+        assert bases_for(2) == (2,)
+        assert bases_for(2**64 - 1) == FIRST_PRIMES
+        for psi, k, _ in PSI:
+            assert bases_for(psi - 1) == FIRST_PRIMES[:k]
+
+
+@settings(max_examples=400, deadline=None)
+@given(v=st.one_of(
+    st.integers(1, 2**64 - 1),
+    st.sampled_from([psi for psi, _, _ in PSI]).flatmap(
+        lambda psi: st.integers(psi - 1000, psi + 1000)),
+))
+def test_size_picked_bases_agree_with_all_twelve(v):
+    assert is_prime(v) == miller_rabin_all_twelve(v)

@@ -3,11 +3,14 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonsieve import (
+    CompensatedProduct,
     EmptyProductWarning,
     ExactRationalUnsupportedError,
     InsufficientDataError,
+    KahanSum,
     euler_product_partial,
     integers,
     limit_estimate,
@@ -15,8 +18,10 @@ from nonsieve import (
     prime_shell,
     residual,
     residual_scan,
+    start_index,
     zeta_partial,
 )
+from nonsieve.residual import _float_zps
 
 
 def harmonic(x):
@@ -183,3 +188,41 @@ class TestBoundProperty:
             assert all(b <= a for a, b in zip(values, values[1:]))
             at_200[key] = values[-1]
         assert at_200[2] < at_200[3] < at_200[5] < at_200[7] < 0.0
+
+
+def reference_float_zps(poly, x_list, s, n0):
+    """(Z, P) pairs at each limit from the KahanSum and CompensatedProduct
+    methods, one call per term: what _float_zps writes out on locals."""
+    zacc = KahanSum(1.0 if poly(1) > 1 else 0.0)
+    pacc = CompensatedProduct()
+    pairs = []
+    n = 1
+    for x in x_list:
+        while n <= x:
+            v = poly(n)
+            t = 1.0 / v if s == 1 else float(v) ** -s
+            zacc.add(t)
+            if n0 is not None and n >= n0:
+                pacc.multiply(1.0 - t)
+            n += 1
+        pairs.append((zacc.as_pair(), pacc.as_pair()))
+    return pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(0, 40), min_size=1, max_size=5).filter(lambda c: c[-1] > 0),
+    s=st.sampled_from((1, 1.5, 2)),
+    xs=st.lists(st.integers(1, 300), min_size=1, max_size=5, unique=True).map(sorted),
+)
+def test_inlined_float_kernel_is_bit_identical_to_the_accumulators(coeffs, s, xs):
+    poly = make_polynomial(coeffs)  # nonnegative coefficients: f >= 1 on n >= 1
+    n0 = start_index(poly, xs[-1])
+    got = [((z.approx, z.comp), (p.approx, p.comp)) for z, p in _float_zps(poly, xs, s, n0)]
+    want = reference_float_zps(poly, xs, s, n0)
+    assert [hex_floats(zp) for zp in got] == [hex_floats(zp) for zp in want]
+
+
+def hex_floats(pairs):
+    """The bits of nested float pairs; unlike ==, this tells -0.0 from 0.0."""
+    return tuple(v.hex() for pair in pairs for v in pair)
