@@ -10,6 +10,7 @@ sums and products keep roughly double-double accuracy.
 from __future__ import annotations
 
 import decimal
+import operator
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -106,18 +107,24 @@ class PrecisionValue:
     An exact value is an integer pair (num, den) with den > 0, not
     necessarily in lowest terms, or a function that returns one on demand,
     so that a value derived from others keeps no big integers of its own.
-    `rational` reduces the pair to a Fraction on first access and keeps it;
-    it is None in float mode.
+    Such a value may also carry small integers (lo, hi, den) with
+    lo / den <= value <= hi / den; `value` and `decimal_str` read their
+    result from them when both ends round alike (Ziv 1991), and form the
+    pair only when they do not.  `rational` reduces the pair to a Fraction
+    on first access and keeps it; it is None in float mode.
     """
 
-    __slots__ = ("mode", "approx", "comp", "_pair", "_rational")
+    __slots__ = ("mode", "approx", "comp", "_pair", "_rational", "_bounds")
 
-    def __init__(self, mode: str, approx: float = 0.0, comp: float = 0.0, pair=None):
+    def __init__(
+        self, mode: str, approx: float = 0.0, comp: float = 0.0, pair=None, bounds=None
+    ):
         self.mode = mode
         self.approx = approx
         self.comp = comp
         self._pair = pair
         self._rational = None
+        self._bounds = bounds
 
     @staticmethod
     def exact(value: Union[Fraction, int]) -> "PrecisionValue":
@@ -132,9 +139,13 @@ class PrecisionValue:
         return PrecisionValue(EXACT, pair=(num, den))
 
     @staticmethod
-    def deferred(make_pair: Callable[[], tuple[int, int]]) -> "PrecisionValue":
-        """An exact value whose (num, den) pair is computed at each use."""
-        return PrecisionValue(EXACT, pair=make_pair)
+    def deferred(
+        make_pair: Callable[[], tuple[int, int]],
+        bounds: tuple[int, int, int] | None = None,
+    ) -> "PrecisionValue":
+        """An exact value whose (num, den) pair is computed at each use,
+        optionally enclosed by (lo, hi, den): lo / den <= value <= hi / den."""
+        return PrecisionValue(EXACT, pair=make_pair, bounds=bounds)
 
     @staticmethod
     def compensated(approx: float, comp: float = 0.0) -> "PrecisionValue":
@@ -153,11 +164,27 @@ class PrecisionValue:
             self._rational = Fraction(*self.pair)
         return self._rational
 
+    def _rounded(self, rnd: Callable[[int, int], object]):
+        """rnd(num, den) of the exact value, from the enclosure if it decides.
+
+        rnd must be monotone in num / den: the values that give any one
+        result form an interval.  So when both ends of the enclosure give the
+        same result, the value between them does too.
+        """
+        if self._bounds is not None:
+            lo, hi, den = self._bounds
+            result = rnd(lo, den)
+            if result == rnd(hi, den):
+                return result
+        return rnd(*self.pair)
+
     @property
     def value(self) -> float:
         if self.mode == EXACT:
-            num, den = self.pair
-            return num / den  # int true division is correctly rounded
+            # int true division is correctly rounded, hence monotone.  With
+            # den <= 2**1074 a bound that is not 0 does not round to a zero,
+            # so 0.0 == -0.0 cannot hide a sign.
+            return self._rounded(operator.truediv)
         return self.approx + self.comp
 
     def as_fraction(self) -> Fraction:
@@ -168,7 +195,9 @@ class PrecisionValue:
     def decimal_str(self, places: int = 14) -> str:
         """Fixed-point decimal string, rounded half-to-even."""
         if self.mode == EXACT:
-            return _fixed_point(*self.pair, places)
+            # Signed round-half-even is monotone; an enclosure that straddles
+            # 0 gives "-0..." and "0..." at its ends and so is never read.
+            return self._rounded(lambda num, den: _fixed_point(num, den, places))
         with decimal.localcontext() as ctx:
             ctx.prec = 60
             d = decimal.Decimal(self.approx) + decimal.Decimal(self.comp)

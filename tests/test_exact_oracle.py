@@ -48,12 +48,21 @@ def escapes_bound(poly, x, s):
     return not empty and not -1.0 < float(m) < 0.0
 
 
+def decimal_oracle(value: Fraction, places: int = 14) -> str:
+    """value rounded half to even to `places` decimals, by Fraction's round;
+    a negative value that rounds to zero keeps its sign."""
+    q = round(abs(value) * 10**places)
+    sign = "-" if value < 0 else ""
+    return f"{sign}{q // 10**places}.{q % 10**places:0{places}d}"
+
+
 def assert_matches_oracle(res, poly, s):
     z, p, m, n0, empty = oracle(poly, res.x, s)
+    assert res.m_value.value == float(m)
+    assert res.m_value.decimal_str(14) == decimal_oracle(m)
     assert res.zeta_partial.rational == z
     assert res.product_partial.rational == p
     assert res.m_value.rational == m
-    assert res.m_value.value == float(m)
     assert res.start_index == n0
     assert res.empty_product is empty
 

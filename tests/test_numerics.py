@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonsieve import KahanSum, CompensatedProduct, PrecisionValue
-from nonsieve.numerics import dd_add, dd_mul, format_float, two_prod, two_sum
+from nonsieve.numerics import (
+    EXACT,
+    _fixed_point,
+    dd_add,
+    dd_mul,
+    format_float,
+    two_prod,
+    two_sum,
+)
+from nonsieve.residual import _combine
 
 finite_floats = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e100, max_value=1e100
@@ -137,3 +146,82 @@ def test_format_float_half_even():
     assert format_float(29.991437, 5) == "29.99144"  # ordinary rounding
     assert format_float(-1.25, 1) == "-1.2"  # exact binary tie, half to even
     assert format_float(0.375, 2) == "0.38"
+
+
+def enclosed_m(zn, zd, pn, pd):
+    """M = Z * P - 1 as the residual builds it from Z = zn/zd, P = pn/pd,
+    and a list that grows each time M's exact pair is formed."""
+    m = _combine(PrecisionValue.ratio(zn, zd), PrecisionValue.ratio(pn, pd), EXACT)
+    make_pair, formed = m._pair, []
+
+    def counted():
+        formed.append(1)
+        return make_pair()
+
+    m._pair = counted
+    return m, formed
+
+
+PLACES = (0, 5, 14, 20)
+
+
+@settings(max_examples=400)
+@given(
+    zn=st.integers(0, 2**300),
+    zd=st.integers(1, 2**300),
+    pn=st.integers(0, 2**300),
+    pd=st.integers(1, 2**300),
+)
+def test_enclosed_m_rounds_as_its_exact_pair(zn, zd, pn, pd):
+    m, _ = enclosed_m(zn, zd, pn, pd)
+    num, den = zn * pn - zd * pd, zd * pd
+    assert m.pair == (num, den)
+    assert m.value.hex() == (num / den).hex()  # also tells 0.0 from -0.0
+    for places in PLACES:
+        assert m.decimal_str(places) == _fixed_point(num, den, places)
+
+
+@settings(max_examples=200)
+@given(
+    scale=st.integers(1, 2**200),
+    z=st.fractions(1, 3),
+    p=st.fractions(0, 1),
+)
+def test_enclosed_m_near_the_residual_range(scale, z, p):
+    # Z >= 1 and P in [0, 1] as in the residual, over unreduced pairs
+    m, _ = enclosed_m(z.numerator * scale, z.denominator * scale, p.numerator, p.denominator)
+    exact = z * p - 1
+    assert m.value.hex() == float(exact).hex()
+    for places in PLACES:
+        assert m.decimal_str(places) == PrecisionValue.exact(exact).decimal_str(places)
+
+
+def test_enclosure_decides_a_residual_without_its_pair():
+    # shell:3 at x = 3: Z = 159/133, P = 108/133, M = -517/17689
+    m, formed = enclosed_m(159, 133, 108, 133)
+    assert m.value == -517 / 17689
+    assert m.decimal_str(14) == "-0.02922720334671"
+    assert formed == []
+
+
+@pytest.mark.parametrize(
+    "zn, zd, pn, pd, read, expected",
+    [
+        # on a 14-place half-way point: rounds half to even, down to ...34
+        (1, 1, 876543210987655, 10**15, "decimal", "-0.12345678901234"),
+        # -1 + 2**-54, half way between two floats: even is -1.0
+        (1, 1, 1, 2**54, "value", -1.0),
+        # M = 0 from Z = 3, P = 1/3: the enclosure straddles 0
+        (3, 1, 1, 3, "value", 0.0),
+        (3, 1, 1, 3, "decimal", "0.00000000000000"),
+        # M = -2**-300, far inside the enclosure's width around 0
+        (1, 1, 2**300 - 1, 2**300, "value", -(2.0**-300)),
+        (1, 1, 2**300 - 1, 2**300, "decimal", "-0.00000000000000"),
+    ],
+    ids=["decimal-tie", "float-tie", "zero-value", "zero-decimal", "tiny-value", "tiny-decimal"],
+)
+def test_enclosure_falls_back_to_the_exact_pair(zn, zd, pn, pd, read, expected):
+    m, formed = enclosed_m(zn, zd, pn, pd)
+    got = m.value if read == "value" else m.decimal_str(14)
+    assert repr(got) == repr(expected)  # repr tells 0.0 from -0.0
+    assert formed == [1]

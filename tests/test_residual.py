@@ -1,3 +1,4 @@
+import importlib
 import random
 import warnings
 from fractions import Fraction
@@ -11,17 +12,23 @@ from nonsieve import (
     ExactRationalUnsupportedError,
     InsufficientDataError,
     KahanSum,
+    OutOfRangeError,
     euler_product_partial,
     integers,
     limit_estimate,
     make_polynomial,
+    parse_poly_spec,
     prime_shell,
     residual,
     residual_scan,
     start_index,
     zeta_partial,
 )
+from nonsieve.cli import run
 from nonsieve.residual import _float_zps
+
+# the module, which the package's `residual` function shadows
+residual_module = importlib.import_module("nonsieve.residual")
 
 
 def harmonic(x):
@@ -161,6 +168,57 @@ class TestLimitEstimate:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             limit_estimate(residual_scan(integers(), [100]))
+
+
+class TestExactSizeCap:
+    """Exact mode refuses a denominator D above EXACT_BITS_MAX bits before it
+    forms any power f(n)**s."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        residual_module._zp.cache_clear()  # a cached pass would skip the check
+
+    @pytest.fixture
+    def no_powers(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a power of f(n) was formed")
+
+        monkeypatch.setattr(residual_module, "_split", refuse)
+
+    def test_huge_exponent_is_refused_before_any_power(self, no_powers):
+        with pytest.raises(OutOfRangeError, match="float mode"):
+            residual(prime_shell(3), 1000, 10**6, "exact")
+        with pytest.raises(OutOfRangeError):
+            residual_scan(prime_shell(3), [10, 1000], 10**6, "exact")
+
+    def test_cli_exits_2(self, no_powers, capsys):
+        argv = ["residual", "--poly", "shell:3", "--x", "1000", "--s", "1e6", "--exact"]
+        assert run(argv) == 2
+        assert "float mode" in capsys.readouterr().err
+
+    def test_edge_of_the_cap(self, monkeypatch):
+        # integers at x = 4: D <= 4**(4 s), an 8 s bit bound
+        monkeypatch.setattr(residual_module, "EXACT_BITS_MAX", 8)
+        assert residual(integers(), 4, 1, "exact").m_value.rational == Fraction(25, 48) - 1
+        with pytest.raises(OutOfRangeError):
+            residual(integers(), 4, 2, "exact")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        spec=st.sampled_from(("1", "integers", "shell:2", "shell:5", "0,0,1", "3,-3,1", "3,1")),
+        x=st.integers(1, 60),
+        s=st.integers(1, 3),
+    )
+    def test_cap_fires_whenever_d_exceeds_it(self, spec, x, s):
+        poly = parse_poly_spec(spec)
+        residual_module._zp.cache_clear()
+        den = zeta_partial(poly, x, s, "exact").pair[1]
+        cap = den.bit_length() - 2  # log2 D > cap
+        residual_module._zp.cache_clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(residual_module, "EXACT_BITS_MAX", cap)
+            with pytest.raises(OutOfRangeError):
+                zeta_partial(poly, x, s, "exact")
 
 
 class TestBoundProperty:
