@@ -6,7 +6,6 @@ from .errors import (
     DepthExceedsSupportWarning,
     EmptyProductWarning,
     ExactRationalUnsupportedError,
-    InsufficientDataError,
     LimitsTooLargeError,
     NonIntegerValuedError,
     NonsieveError,
@@ -20,7 +19,6 @@ from .mseries import (
     compare_to_residual,
     enumerate_oracle,
     expansion_oracle,
-    max_chain_depth,
     mseries_literal,
     sigma_chain,
 )
@@ -37,16 +35,13 @@ from .primes import (
     PrimeCensus,
     census,
     census_scan,
-    count_primes_in_outputs,
     is_prime,
     is_prime_trial_division,
     log_density_sum,
 )
 from .residual import (
-    LimitEstimate,
     ResidualResult,
     euler_product_partial,
-    limit_estimate,
     residual,
     residual_scan,
     start_index,

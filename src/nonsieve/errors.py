@@ -25,10 +25,6 @@ class BoundViolationError(NonsieveError):
     """
 
 
-class InsufficientDataError(NonsieveError):
-    """Too few scan results to form a limit estimate."""
-
-
 class LimitsTooLargeError(NonsieveError):
     """An exponential-cost oracle was asked to run outside its safe bounds."""
 

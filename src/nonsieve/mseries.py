@@ -28,16 +28,28 @@ _EXPANSION_MAX_X = 16
 _FLOAT_TERM_CUTOFF = 1e-16  # relative, two consecutive depths
 
 
-def max_chain_depth(x: int) -> int:
-    """Largest depth with a nonzero chain: (2, 2, 3, 4, ..., x) has depth x."""
-    return x
+def _number(mode: str, value: int = 0):
+    """value in the mode's number type: a Fraction, or a float in float mode."""
+    return Fraction(value) if mode == EXACT else float(value)
 
 
-def _reciprocals(poly, x: int, exact: bool):
-    # index 0..x, entries 2..x used
-    if exact:
-        return [None, None] + [Fraction(1, poly(n)) for n in range(2, x + 1)]
-    return [0.0, 0.0] + [1.0 / poly(n) for n in range(2, x + 1)]
+def _raw(v: PrecisionValue):
+    """v in its mode's number type."""
+    return v.rational if v.mode == EXACT else v.value
+
+
+def _wrap(mode: str, total, comp: float = 0.0) -> PrecisionValue:
+    """A total in the mode's number type, with its compensation term in
+    float mode, as a PrecisionValue."""
+    if mode == EXACT:
+        return PrecisionValue.exact(total)
+    return PrecisionValue.compensated(total, comp)
+
+
+def _reciprocals(poly, x: int, mode: str) -> list:
+    """1/f(n) at index n for n = 2..x; indices 0 and 1 are unused."""
+    one = _number(mode, 1)
+    return [None, None] + [one / v for v in poly.values(2, x)]
 
 
 def sigma_chain(poly, x: int, depth: int, mode: str = EXACT) -> PrecisionValue:
@@ -51,20 +63,18 @@ def sigma_chain(poly, x: int, depth: int, mode: str = EXACT) -> PrecisionValue:
         raise ValueError(f"need x >= 2, got {x}")
     if depth < 2:
         raise ValueError(f"need depth >= 2, got {depth}")
-    exact = mode == EXACT
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    if depth > max_chain_depth(x):
+    zero = _number(mode)
+    if depth > x:  # the deepest chain, (2, 2, 3, 4, ..., x), has depth x
         warnings.warn(
             f"no depth-{depth} chain fits below x={x}",
             DepthExceedsSupportWarning,
             stacklevel=2,
         )
-        return PrecisionValue.exact(0) if exact else PrecisionValue.compensated(0.0)
+        return _wrap(mode, zero)
 
-    a = _reciprocals(poly, x, exact)
+    a = _reciprocals(poly, x, mode)
     # E[t] for the current chain length m, indices 2..x+1
-    e = [one] * (x + 2)
+    e = [_number(mode, 1)] * (x + 2)
     for _ in range(depth - 2):
         new = [zero] * (x + 2)
         for t in range(x, 1, -1):
@@ -76,9 +86,7 @@ def sigma_chain(poly, x: int, depth: int, mode: str = EXACT) -> PrecisionValue:
     for i in range(x, 1, -1):
         suffix = suffix + a[i] * e[i + 1]
         total = total + a[i] * suffix
-    if exact:
-        return PrecisionValue.exact(total)
-    return PrecisionValue.compensated(total)
+    return _wrap(mode, total)
 
 
 @dataclass(frozen=True)
@@ -120,35 +128,21 @@ def _num_str(v: PrecisionValue) -> str:
 
 
 def _assemble(poly, x, max_depth, mode, magnitudes) -> MSeriesExpansion:
-    exact = mode == EXACT
-    terms = []
-    if exact:
-        partial = Fraction(0)
-        for d, mag in magnitudes:
-            sign = (-1) ** (d - 1)
-            terms.append(MSeriesTerm(d, sign, mag))
-            partial += sign * mag.rational
-        partial_pv = PrecisionValue.exact(partial)
-    else:
-        acc = KahanSum()
-        for d, mag in magnitudes:
-            sign = (-1) ** (d - 1)
-            terms.append(MSeriesTerm(d, sign, mag))
-            acc.add(sign * mag.value)
-        partial_pv = PrecisionValue.compensated(*acc.as_pair())
+    terms = tuple(MSeriesTerm(d, (-1) ** (d - 1), mag) for d, mag in magnitudes)
+    # Over Fractions TwoSum's error term is 0, so this is the exact sum.
+    acc = KahanSum(_number(mode))
+    for t in terms:
+        acc.add(t.sign * _raw(t.magnitude))
+    partial = _wrap(mode, *acc.as_pair())
     ref = residual(poly, x, 1, mode).m_value
-    if exact:
-        dev = PrecisionValue.exact(ref.rational - partial_pv.rational)
-    else:
-        dev = PrecisionValue.compensated(ref.value - partial_pv.value)
     return MSeriesExpansion(
         label=poly.label,
         x=x,
         max_depth=max_depth,
-        terms=tuple(terms),
-        partial_sum=partial_pv,
+        terms=terms,
+        partial_sum=partial,
         residual_reference=ref,
-        deviation=dev,
+        deviation=_wrap(mode, _raw(ref) - _raw(partial)),
     )
 
 
@@ -162,7 +156,7 @@ def mseries_literal(
     consecutive term magnitudes fall below 1e-16 of the running sum.
     """
     if max_depth is None:
-        max_depth = max_chain_depth(x)
+        max_depth = x
     if max_depth < 2:
         raise ValueError(f"need max_depth >= 2, got {max_depth}")
     magnitudes = []
@@ -190,16 +184,15 @@ def enumerate_oracle(
     """Same contract as mseries_literal, computed by explicit tuple
     enumeration.  Exponential cost, so x and depth are hard-capped."""
     if max_depth is None:
-        max_depth = max_chain_depth(x)
+        max_depth = x
     if x > _ENUM_MAX_X or max_depth > _ENUM_MAX_DEPTH:
         raise LimitsTooLargeError(
             f"enumeration limited to x <= {_ENUM_MAX_X}, depth <= {_ENUM_MAX_DEPTH}"
         )
-    exact = mode == EXACT
-    a = _reciprocals(poly, x, exact)
+    a = _reciprocals(poly, x, mode)
     magnitudes = []
     for d in range(2, max_depth + 1):
-        total = Fraction(0) if exact else 0.0
+        total = _number(mode)
         for i in range(2, x + 1):
             for j in range(i, x + 1):
                 base = a[i] * a[j]
@@ -211,10 +204,7 @@ def enumerate_oracle(
                     for r in rest:
                         term = term * a[r]
                     total += term
-        mag = (
-            PrecisionValue.exact(total) if exact else PrecisionValue.compensated(total)
-        )
-        magnitudes.append((d, mag))
+        magnitudes.append((d, _wrap(mode, total)))
     return _assemble(poly, x, max_depth, mode, magnitudes)
 
 

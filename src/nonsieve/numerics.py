@@ -9,7 +9,6 @@ sums and products keep roughly double-double accuracy.
 
 from __future__ import annotations
 
-import decimal
 import operator
 from fractions import Fraction
 from typing import Callable, Union
@@ -140,11 +139,10 @@ class PrecisionValue:
 
     @staticmethod
     def deferred(
-        make_pair: Callable[[], tuple[int, int]],
-        bounds: tuple[int, int, int] | None = None,
+        make_pair: Callable[[], tuple[int, int]], bounds: tuple[int, int, int]
     ) -> "PrecisionValue":
         """An exact value whose (num, den) pair is computed at each use,
-        optionally enclosed by (lo, hi, den): lo / den <= value <= hi / den."""
+        enclosed by (lo, hi, den): lo / den <= value <= hi / den."""
         return PrecisionValue(EXACT, pair=make_pair, bounds=bounds)
 
     @staticmethod
@@ -187,24 +185,15 @@ class PrecisionValue:
             return self._rounded(operator.truediv)
         return self.approx + self.comp
 
-    def as_fraction(self) -> Fraction:
-        if self.mode == EXACT:
-            return self.rational
-        return Fraction(self.approx) + Fraction(self.comp)
-
     def decimal_str(self, places: int = 14) -> str:
-        """Fixed-point decimal string, rounded half-to-even."""
+        """Fixed-point decimal string of the exact value (approx + comp in
+        float mode), rounded half-to-even once."""
         if self.mode == EXACT:
             # Signed round-half-even is monotone; an enclosure that straddles
             # 0 gives "-0..." and "0..." at its ends and so is never read.
             return self._rounded(lambda num, den: _fixed_point(num, den, places))
-        with decimal.localcontext() as ctx:
-            ctx.prec = 60
-            d = decimal.Decimal(self.approx) + decimal.Decimal(self.comp)
-            q = d.quantize(
-                decimal.Decimal(1).scaleb(-places), rounding=decimal.ROUND_HALF_EVEN
-            )
-        return format(q, "f")
+        total = Fraction(self.approx) + Fraction(self.comp)
+        return _fixed_point(total.numerator, total.denominator, places)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.mode == EXACT:
@@ -214,8 +203,9 @@ class PrecisionValue:
 
 def _fixed_point(num: int, den: int, places: int) -> str:
     """num / den (den > 0) rounded half-to-even to `places` >= 0 decimals,
-    by one integer division.  A negative value that rounds to zero keeps
-    its sign, "-0.00", as Decimal formatting does."""
+    by one integer division: the one rounding behind every printed decimal.
+    A negative value that rounds to zero keeps its sign, "-0.00", as Decimal
+    and float formatting do; zero itself, a float -0.0 too, prints "0.00"."""
     q, r = divmod(abs(num) * 10**places, den)
     if 2 * r > den or (2 * r == den and q & 1):
         q += 1
@@ -235,10 +225,5 @@ def require_exactable_exponent(s, mode: str) -> None:
 
 
 def format_float(value: float, places: int) -> str:
-    """Round-half-even fixed-point formatting of a plain float."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        q = decimal.Decimal(value).quantize(
-            decimal.Decimal(1).scaleb(-places), rounding=decimal.ROUND_HALF_EVEN
-        )
-    return format(q, "f")
+    """Round-half-even fixed-point formatting of a plain float's exact value."""
+    return _fixed_point(*value.as_integer_ratio(), places)

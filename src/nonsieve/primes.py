@@ -104,13 +104,10 @@ class PrimeCensus:
     x: int
     prime_count: int
     log_density_sum: float
-    witnesses: tuple[int, ...] | None = None
     skipped_units: int = 0
 
 
-def census_scan(
-    poly: IntegerPolynomial, x_list, with_witnesses: bool = False
-) -> list[PrimeCensus]:
+def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
     """Prime count and log-density sum at each ascending limit, from one
     walk over f(1..max(x_list)).
 
@@ -122,7 +119,6 @@ def census_scan(
     if any(b <= a for a, b in zip(x_list, x_list[1:])):
         raise ValueError(f"limits must be strictly ascending: {x_list}")
     results = []
-    witnesses = []
     count = skipped = 0
     total = comp = 0.0
     values = poly.values(1, x_list[-1] if x_list else 0)
@@ -131,8 +127,6 @@ def census_scan(
         for n, v in zip(range(n + 1, x + 1), values):
             if is_prime(v):
                 count += 1
-                if with_witnesses:
-                    witnesses.append(n)
             if n >= 2:
                 if v == 1:
                     skipped += 1
@@ -147,7 +141,6 @@ def census_scan(
             x=x,
             prime_count=count,
             log_density_sum=total + comp,
-            witnesses=tuple(witnesses) if with_witnesses else None,
             skipped_units=skipped,
         ))
     if skipped:
@@ -159,18 +152,9 @@ def census_scan(
     return results
 
 
-def census(
-    poly: IntegerPolynomial, x: int, with_witnesses: bool = False
-) -> PrimeCensus:
+def census(poly: IntegerPolynomial, x: int) -> PrimeCensus:
     """Prime count and log-density sum for one polynomial and limit."""
-    return census_scan(poly, [x], with_witnesses)[0]
-
-
-def count_primes_in_outputs(poly: IntegerPolynomial, x: int) -> int:
-    """Number of n in [1, x] with f(n) prime."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return census(poly, x).prime_count
+    return census_scan(poly, [x])[0]
 
 
 def log_density_sum(poly: IntegerPolynomial, x: int) -> float:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .errors import (
     BoundViolationError,
     EmptyProductWarning,
-    InsufficientDataError,
     NotMonotoneError,
     OutOfRangeError,
 )
@@ -304,27 +303,3 @@ def residual_scan(
     n0 = _checked_start(poly, x_list, s, mode)
     zps = _zps(poly, x_list, s, mode, n0)
     return [_make_result(poly, x, s, mode, z, p, n0) for x, (z, p) in zip(x_list, zps)]
-
-
-@dataclass(frozen=True)
-class LimitEstimate:
-    estimate: float
-    last_delta: float
-    last_x: int
-
-
-def limit_estimate(results: list[ResidualResult]) -> LimitEstimate:
-    """Last M value plus the last inter-limit delta as a crude convergence
-    diagnostic.  No extrapolation model is asserted."""
-    if len(results) < 2:
-        raise InsufficientDataError(
-            f"need at least two scan results, got {len(results)}"
-        )
-    last, prev = results[-1], results[-2]
-    if last.x <= prev.x:
-        raise ValueError("results must be at ascending x")
-    return LimitEstimate(
-        estimate=last.m_value.value,
-        last_delta=abs(last.m_value.value - prev.m_value.value),
-        last_x=last.x,
-    )

@@ -11,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 from nonsieve import (
+    census,
     compare_to_residual,
-    count_primes_in_outputs,
     enumerate_oracle,
     expansion_oracle,
     integers,
@@ -112,14 +112,14 @@ def _crosscheck_primality(v, rng):
 
 
 def test_criterion_3_prime_count_columns():
-    ok = count_primes_in_outputs(integers(), 100) == 25
-    ok &= count_primes_in_outputs(integers(), 200) == 46
+    ok = census(integers(), 100).prime_count == 25
+    ok &= census(integers(), 200).prime_count == 46
     rng = random.Random(3)
     report = []
     for p in (2, 3, 5, 7):
         poly = prime_shell(p)
         for x in (100, 200):
-            count = count_primes_in_outputs(poly, x)
+            count = census(poly, x).prime_count
             oracle = sum(
                 1
                 for n in range(1, x + 1)

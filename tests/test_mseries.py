@@ -1,16 +1,21 @@
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_exact_oracle import SPECS
 
 from nonsieve import (
+    FLOAT,
     DepthExceedsSupportWarning,
+    KahanSum,
     LimitsTooLargeError,
     compare_to_residual,
     enumerate_oracle,
     expansion_oracle,
     integers,
-    max_chain_depth,
     mseries_literal,
+    parse_poly_spec,
     prime_shell,
     residual,
     sigma_chain,
@@ -84,7 +89,7 @@ class TestMSeriesLiteral:
         e = mseries_literal(prime_shell(3), 5, 9)
         for term in e.terms:
             assert term.sign == (-1) ** (term.depth - 1)
-            if term.depth <= max_chain_depth(5):
+            if term.depth <= 5:
                 assert term.magnitude.rational > 0
             else:
                 assert term.magnitude.rational == 0
@@ -175,3 +180,58 @@ class TestCompareToResidual:
         d = compare_to_residual(prime_shell(3), 3).to_dict()
         assert d["verdict"] == "SYSTEMATIC_GAP"
         assert d["deviation"] == "1/2527"
+
+
+def float_series_reference(poly, x, max_depth):
+    """The float series as documented: sigma_chain per depth, signed terms
+    summed by KahanSum, stopping after two consecutive magnitudes below
+    1e-16 of the plain running sum.  Returns (depth, magnitude) pairs and
+    the accumulator."""
+    terms, acc, running, streak = [], KahanSum(), 0.0, 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DepthExceedsSupportWarning)
+        for d in range(2, max_depth + 1):
+            mag = sigma_chain(poly, x, d, FLOAT).value
+            terms.append((d, mag))
+            acc.add((-1) ** (d - 1) * mag)
+            running += (-1) ** (d - 1) * mag
+            streak = streak + 1 if abs(mag) < 1e-16 * abs(running) else 0
+            if streak >= 2:
+                break
+    return terms, acc
+
+
+def hexes(*values):
+    return [v.hex() for v in values]
+
+
+# n^2 - 3n + 3 is left out: its M leaves (-1, 0), so the residual raises.
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from([s for s in SPECS if s != "3,-3,1"]),
+    x=st.integers(2, 60),
+    depth=st.one_of(st.none(), st.integers(2, 70)),
+)
+def test_float_series_matches_a_kahan_reference(spec, x, depth):
+    poly = parse_poly_spec(spec)
+    terms, acc = float_series_reference(poly, x, x if depth is None else depth)
+    ref = residual(poly, x, 1, FLOAT).m_value.value
+    deviation = ref - acc.value
+
+    e = mseries_literal(poly, x, depth, FLOAT)
+    assert [(t.depth, t.sign) for t in e.terms] == [(d, (-1) ** (d - 1)) for d, _ in terms]
+    assert hexes(*(t.magnitude.value for t in e.terms)) == hexes(*(m for _, m in terms))
+    assert hexes(e.partial_sum.approx, e.partial_sum.comp) == hexes(*acc.as_pair())
+    assert hexes(e.residual_reference.value, e.deviation.value) == hexes(ref, deviation)
+
+    report = compare_to_residual(poly, x, depth, FLOAT)
+    assert hexes(report.partial_sum.approx, report.partial_sum.comp) == hexes(*acc.as_pair())
+    assert hexes(report.residual.value, report.deviation.value) == hexes(ref, deviation)
+    assert report.cutoff_depth == next((d for d, m in terms if abs(m) < 1e-16), None)
+    assert report.verdict == ("MATCH" if abs(deviation) <= 1e-12 else "SYSTEMATIC_GAP")
+    if x <= 12:  # the float DP tracks the exact one
+        for d, mag in terms[:4]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DepthExceedsSupportWarning)
+                exact = sigma_chain(poly, x, d).rational
+            assert mag == pytest.approx(float(exact), rel=1e-13, abs=0)

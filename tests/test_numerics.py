@@ -104,7 +104,8 @@ class TestPrecisionValue:
     def test_compensated_value_includes_compensation(self):
         v = PrecisionValue.compensated(1.0, 1e-20)
         assert v.value == 1.0 + 1e-20
-        assert v.as_fraction() == Fraction(1.0) + Fraction(1e-20)
+        # the printed value is approx + comp, not approx alone
+        assert v.decimal_str(25) == "1.0000000000000000000100000"
 
     def test_exact_in_lowest_terms(self):
         v = PrecisionValue.exact(Fraction(7, 17689))
@@ -146,6 +147,95 @@ def test_format_float_half_even():
     assert format_float(29.991437, 5) == "29.99144"  # ordinary rounding
     assert format_float(-1.25, 1) == "-1.2"  # exact binary tie, half to even
     assert format_float(0.375, 2) == "0.38"
+
+
+def half_even_oracle(value: Fraction, places: int) -> str:
+    """value rounded half to even to `places` decimals by Fraction's round;
+    a negative value that rounds to zero keeps its sign."""
+    q = round(abs(value) * 10**places)
+    sign = "-" if value < 0 else ""
+    if places == 0:
+        return f"{sign}{q}"
+    return f"{sign}{q // 10**places}.{q % 10**places:0{places}d}"
+
+
+def old_float_decimal(approx: float, comp: float, places: int) -> str:
+    """Float decimal_str as it was computed through Decimal: a 60-digit sum
+    of the two floats, then one quantize."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        d = decimal.Decimal(approx) + decimal.Decimal(comp)
+        q = d.quantize(decimal.Decimal(1).scaleb(-places), rounding=decimal.ROUND_HALF_EVEN)
+    return format(q, "f")
+
+
+def old_format_float(value: float, places: int) -> str:
+    """format_float as it was computed through a 40-digit Decimal."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        q = decimal.Decimal(value).quantize(
+            decimal.Decimal(1).scaleb(-places), rounding=decimal.ROUND_HALF_EVEN
+        )
+    return format(q, "f")
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_float_decimal_rounds_the_exact_sum_once(sign):
+    # 2**-15 = 0.000030517578125 is a 14-place half-way point, and the
+    # compensation term puts the value just above it: the 60-digit Decimal
+    # sum dropped the 2**-250 and then broke the tie to even, "...812".
+    v = PrecisionValue.compensated(sign * 2.0**-15, sign * 2.0**-250)
+    expected = "0.00003051757813" if sign > 0 else "-0.00003051757813"
+    assert v.decimal_str(14) == expected
+
+
+def negative_zero(v: float) -> bool:
+    return v == 0 and math.copysign(1.0, v) < 0
+
+
+def distance_to_tie(value: Fraction, places: int) -> Fraction:
+    scaled = abs(value) * 10**places
+    return abs(scaled - math.floor(scaled) - Fraction(1, 2)) / 10**places
+
+
+tiny = st.builds(
+    lambda s, e: math.ldexp(s, -e), st.sampled_from((1, -1)), st.integers(60, 1074)
+)
+dyadic = st.builds(
+    lambda k, e: math.ldexp(k, -e), st.integers(-(2**20), 2**20), st.integers(0, 60)
+)
+
+
+@st.composite
+def float_pairs(draw):
+    """(approx, comp, places).  An odd multiple of 2**-(p + 1) is a half-way
+    point at p places (2**-15 at 14), and a tiny compensation term moves it
+    just off the tie."""
+    places = draw(st.sampled_from((0, 5, 14)))
+    tie = math.ldexp(2 * draw(st.integers(-(2**19), 2**19)) + 1, -(places + 1))
+    approx = draw(st.one_of(st.just(tie), dyadic, st.floats(-1e6, 1e6)))
+    comp = draw(st.one_of(st.just(0.0), tiny, dyadic, st.floats(-1e6, 1e6)))
+    return approx, comp, places
+
+
+@settings(max_examples=600)
+@given(float_pairs())
+def test_float_decimals_match_a_half_even_oracle(pair):
+    approx, comp, places = pair
+    exact = Fraction(approx) + Fraction(comp)
+    got = PrecisionValue.compensated(approx, comp).decimal_str(places)
+    assert got == half_even_oracle(exact, places)
+    assert format_float(approx, places) == half_even_oracle(Fraction(approx), places)
+    # The old formulas agree except that Decimal printed a -0.0, and the sum
+    # -0.0 + -0.0, as "-0...": a zero now prints unsigned in both modes.
+    # One rounding of the exact float was already what format_float did.
+    if not negative_zero(approx):
+        assert format_float(approx, places) == old_format_float(approx, places)
+    # Away from ties the 60-digit sum (off by at most 10**-53 here) rounds
+    # as the exact sum does.
+    near_tie = distance_to_tie(exact, places) <= Fraction(1, 10**50)
+    if not near_tie and not (negative_zero(approx) and negative_zero(comp)):
+        assert got == old_float_decimal(approx, comp, places)
 
 
 def enclosed_m(zn, zd, pn, pd):

@@ -11,7 +11,6 @@ from nonsieve import (
     OutOfRangeError,
     census,
     census_scan,
-    count_primes_in_outputs,
     integers,
     is_prime,
     is_prime_trial_division,
@@ -149,11 +148,11 @@ class TestIsPrime:
 
 class TestCountPrimes:
     def test_shell3_first_ten(self):
-        assert count_primes_in_outputs(prime_shell(3), 10) == 6
+        assert census(prime_shell(3), 10).prime_count == 6
 
     def test_classical_pi_values(self):
         for x, expected in ((10, 4), (100, 25), (200, 46), (1000, 168)):
-            assert count_primes_in_outputs(integers(), x) == expected
+            assert census(integers(), x).prime_count == expected
 
     def test_shell_counts_cross_validated_by_trial_division(self):
         # the published shell-row cells differ from these verified counts
@@ -163,7 +162,7 @@ class TestCountPrimes:
             oracle = sum(
                 1 for n in range(1, x + 1) if is_prime_trial_division(poly(n))
             )
-            assert count_primes_in_outputs(poly, x) == oracle == count
+            assert census(poly, x).prime_count == oracle == count
 
 
 class TestLogDensitySum:
@@ -196,11 +195,6 @@ class TestCensus:
         assert c.prime_count == 25
         assert c.log_density_sum == pytest.approx(29.99144, abs=5e-4)
 
-    def test_witnesses(self):
-        c = census(prime_shell(3), 10, with_witnesses=True)
-        assert c.witnesses == (2, 3, 4, 5, 7, 10)
-        assert len(c.witnesses) == c.prime_count
-
     def test_constant_one_flags_units(self):
         with pytest.warns(UserWarning):
             c = census(prime_shell(1), 20)
@@ -222,14 +216,13 @@ class TestCensus:
 @given(
     spec=st.sampled_from(SPECS),
     xs=st.lists(st.integers(0, 400), min_size=1, max_size=6, unique=True).map(sorted),
-    with_witnesses=st.booleans(),
 )
-def test_census_scan_equals_one_census_per_limit(spec, xs, with_witnesses):
+def test_census_scan_equals_one_census_per_limit(spec, xs):
     poly = parse_poly_spec(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        scan = census_scan(poly, xs, with_witnesses)
-        cells = [census(poly, x, with_witnesses) for x in xs]
+        scan = census_scan(poly, xs)
+        cells = [census(poly, x) for x in xs]
     assert len(scan) == len(cells)
     for a, b in zip(scan, cells):
         for field in fields(PrimeCensus):

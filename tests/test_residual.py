@@ -10,12 +10,10 @@ from nonsieve import (
     CompensatedProduct,
     EmptyProductWarning,
     ExactRationalUnsupportedError,
-    InsufficientDataError,
     KahanSum,
     OutOfRangeError,
     euler_product_partial,
     integers,
-    limit_estimate,
     make_polynomial,
     parse_poly_spec,
     prime_shell,
@@ -153,21 +151,6 @@ class TestResidualScan:
     def test_rejects_non_ascending(self):
         with pytest.raises(ValueError):
             residual_scan(integers(), [100, 50])
-
-
-class TestLimitEstimate:
-    def test_shell5_delta(self):
-        est = limit_estimate(residual_scan(prime_shell(5), [50, 100, 200]))
-        assert est.estimate == pytest.approx(-0.0012946, abs=1e-6)
-        assert est.last_delta == pytest.approx(2.2e-9, rel=0.1)
-
-    def test_shell7_estimate(self):
-        est = limit_estimate(residual_scan(prime_shell(7), [100, 200]))
-        assert est.estimate == pytest.approx(-0.000067, abs=1e-6)
-
-    def test_insufficient_data(self):
-        with pytest.raises(InsufficientDataError):
-            limit_estimate(residual_scan(integers(), [100]))
 
 
 class TestExactSizeCap:
