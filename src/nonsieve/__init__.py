@@ -3,8 +3,6 @@ polynomial outputs, and the nested alternating residual series."""
 
 from .errors import (
     BoundViolationError,
-    DepthExceedsSupportWarning,
-    EmptyProductWarning,
     ExactRationalUnsupportedError,
     LimitsTooLargeError,
     NonIntegerValuedError,

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 from . import reference
@@ -54,10 +53,8 @@ def _s_value(cfg: RunConfig):
 
 def _table_rows(poly: IntegerPolynomial, row_key, cfg: RunConfig) -> list[dict]:
     """One row per limit, from one census scan and one residual scan."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        censuses = census_scan(poly, cfg.limits)
-        results = residual_scan(poly, cfg.limits, _s_value(cfg), cfg.precision)
+    censuses = census_scan(poly, cfg.limits)
+    results = residual_scan(poly, cfg.limits, _s_value(cfg), cfg.precision)
     return [_table_row(poly, row_key, cen, res, cfg.precision)
             for cen, res in zip(censuses, results)]
 

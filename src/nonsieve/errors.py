@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class NonsieveError(Exception):
@@ -32,12 +32,3 @@ class LimitsTooLargeError(NonsieveError):
 class OutOfRangeError(NonsieveError):
     """A value is outside the range the operation is certified for."""
 
-
-class EmptyProductWarning(UserWarning):
-    """The truncation limit lies below the product's start index; the
-    product is the empty product 1."""
-
-
-class DepthExceedsSupportWarning(UserWarning):
-    """No index chain of the requested depth fits below the truncation
-    limit; the term is exactly zero."""

@@ -13,12 +13,11 @@ instead of correcting it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import DepthExceedsSupportWarning, LimitsTooLargeError
+from .errors import LimitsTooLargeError
 from .numerics import EXACT, FLOAT, KahanSum, PrecisionValue
 from .residual import residual
 
@@ -26,6 +25,7 @@ _ENUM_MAX_X = 12
 _ENUM_MAX_DEPTH = 8
 _EXPANSION_MAX_X = 16
 _FLOAT_TERM_CUTOFF = 1e-16  # relative, two consecutive depths
+MATCH_TOLERANCE = 1e-12  # largest |deviation| compare_to_residual calls a MATCH
 
 
 def _number(mode: str, value: int = 0):
@@ -65,11 +65,6 @@ def sigma_chain(poly, x: int, depth: int, mode: str = EXACT) -> PrecisionValue:
         raise ValueError(f"need depth >= 2, got {depth}")
     zero = _number(mode)
     if depth > x:  # the deepest chain, (2, 2, 3, 4, ..., x), has depth x
-        warnings.warn(
-            f"no depth-{depth} chain fits below x={x}",
-            DepthExceedsSupportWarning,
-            stacklevel=2,
-        )
         return _wrap(mode, zero)
 
     a = _reciprocals(poly, x, mode)
@@ -163,9 +158,7 @@ def mseries_literal(
     running = 0.0
     tiny_streak = 0
     for d in range(2, max_depth + 1):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DepthExceedsSupportWarning)
-            mag = sigma_chain(poly, x, d, mode)
+        mag = sigma_chain(poly, x, d, mode)
         magnitudes.append((d, mag))
         if mode == FLOAT:
             running += (-1) ** (d - 1) * mag.value
@@ -239,7 +232,6 @@ class ComparisonReport:
     residual: PrecisionValue
     deviation: PrecisionValue
     verdict: str
-    tolerance: float
     cutoff_depth: int | None = None
 
     def to_dict(self) -> dict:
@@ -252,7 +244,7 @@ class ComparisonReport:
             "residual": _num_str(self.residual),
             "deviation": _num_str(self.deviation),
             "verdict": self.verdict,
-            "tolerance": self.tolerance,
+            "tolerance": MATCH_TOLERANCE,
             "cutoff_depth": self.cutoff_depth,
         }
 
@@ -262,8 +254,7 @@ SYSTEMATIC_GAP = "SYSTEMATIC_GAP"
 
 
 def compare_to_residual(
-    poly, x: int, max_depth: int | None = None, mode: str = EXACT,
-    tolerance: float = 1e-12,
+    poly, x: int, max_depth: int | None = None, mode: str = EXACT
 ) -> ComparisonReport:
     """Deviation of the literal series from the residual at the same x.
 
@@ -278,7 +269,7 @@ def compare_to_residual(
             if abs(t.magnitude.value) < _FLOAT_TERM_CUTOFF:
                 cutoff = t.depth
                 break
-    verdict = MATCH if abs(expansion.deviation.value) <= tolerance else SYSTEMATIC_GAP
+    verdict = MATCH if abs(expansion.deviation.value) <= MATCH_TOLERANCE else SYSTEMATIC_GAP
     return ComparisonReport(
         label=poly.label,
         x=x,
@@ -288,6 +279,5 @@ def compare_to_residual(
         residual=expansion.residual_reference,
         deviation=expansion.deviation,
         verdict=verdict,
-        tolerance=tolerance,
         cutoff_depth=cutoff,
     )

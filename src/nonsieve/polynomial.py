@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import NonIntegerValuedError, NonsieveError
+from .errors import NonIntegerValuedError, NonsieveError, NotMonotoneError
 
 _CONSTRUCTION_SAMPLE = 1000  # n range sampled by the integer-valued check
 
@@ -95,30 +95,16 @@ def integers() -> IntegerPolynomial:
     return make_polynomial([0, 1], "integers")
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
-    ok: bool
-    first_violation: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_monotone(poly: IntegerPolynomial, x: int) -> MonotoneReport:
-    """Check f(n+1) > f(n) on 1 <= n < x.
-
-    A tie f(1) = f(2) is tolerated only when f(1) = 1 (the engines skip
-    unit values anyway); any other violation is reported with its index.
-    """
+def validate_monotone(poly: IntegerPolynomial, x: int) -> None:
+    """Raise NotMonotoneError unless f(n+1) > f(n) on 1 <= n < x."""
     if x < 2:
         raise ValueError(f"monotone check needs x >= 2, got {x}")
     values = poly.values(1, x)
     prev = next(values)
-    for n, cur in enumerate(values, 2):
-        if cur <= prev and not (n == 2 and prev == 1 and cur == 1):
-            return MonotoneReport(False, first_violation=n - 1)
+    for n, cur in enumerate(values, 1):
+        if cur <= prev:
+            raise NotMonotoneError(f"{poly.label} is not increasing at n={n}")
         prev = cur
-    return MonotoneReport(True)
 
 
 def parse_poly_spec(spec: str) -> IntegerPolynomial:

@@ -11,7 +11,6 @@ available as the independent cross-check.
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt, log
@@ -112,6 +111,8 @@ def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
     walk over f(1..max(x_list)).
 
     Raises OutOfRangeError at the first f(n) >= 2**64, as is_prime does.
+    Unit outputs f(n) = 1 with n >= 2 are left out of the log sum and counted
+    in skipped_units.
     The log sum is KahanSum.add written out on locals, operation for
     operation, so it is bit-identical to log_density_sum.
     """
@@ -143,12 +144,6 @@ def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
             log_density_sum=total + comp,
             skipped_units=skipped,
         ))
-    if skipped:
-        warnings.warn(
-            f"{poly.label}: {skipped} unit outputs skipped in the log-density sum",
-            UserWarning,
-            stacklevel=2,
-        )
     return results
 
 

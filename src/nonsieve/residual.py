@@ -14,15 +14,9 @@ asked for.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
-from .errors import (
-    BoundViolationError,
-    EmptyProductWarning,
-    NotMonotoneError,
-    OutOfRangeError,
-)
+from .errors import BoundViolationError, OutOfRangeError
 from .numerics import (
     _SPLITTER,
     EXACT,
@@ -57,11 +51,7 @@ def _checked_start(poly: IntegerPolynomial, x_list: list[int], s, mode: str) -> 
         raise ValueError(f"truncation limit must be >= 1, got {x_list[0]}")
     x = x_list[-1]
     if x >= 2 and poly.coefficients != (1,):  # the constant 1 is exempt
-        report = validate_monotone(poly, x)
-        if not report:
-            raise NotMonotoneError(
-                f"{poly.label} is not increasing at n={report.first_violation}"
-            )
+        validate_monotone(poly, x)
     require_exactable_exponent(s, mode)
     if mode == EXACT:
         # f is increasing, so D <= f(x)**(s * x); (v - 1).bit_length() is
@@ -106,11 +96,11 @@ def _join(left: tuple[int, int, int], right: tuple[int, int, int]) -> tuple[int,
 
 
 def _units(x: int, n0: int | None) -> int:
-    """The part of Z(x) before n0.  That is one per unit value f(n) = 1 with
-    n <= x, or, when f(1) > 1 (exactly when n0 = 1), the explicit leading 1."""
-    if n0 is None or x < n0:
-        return x
-    return max(n0 - 1, 1)
+    """The part of Z(x) before n0: one per unit value f(n) = 1 with n <= x
+    while no factor has started, and 1 after that.  Only the constant 1 may
+    repeat a value, so that 1 is the one unit f(1) = 1 (n0 = 2) or, when
+    f(1) > 1 (n0 = 1), the explicit leading 1."""
+    return x if n0 is None or x < n0 else 1
 
 
 def _exact_zps(poly: IntegerPolynomial, x_list: list[int], s: int, n0: int | None):
@@ -197,17 +187,10 @@ def euler_product_partial(
 ) -> PrecisionValue:
     """prod_{n=n0}^{x} (1 - 1/f(n)**s) with n0 the first n where f(n) >= 2.
 
-    An empty range is the empty product 1, flagged with a warning rather
-    than an error so family scans never abort.
+    An empty range is the empty product 1; residual reports it as
+    empty_product.
     """
-    _, p, n0 = _zp(poly, x, s, mode)
-    if n0 is None:
-        warnings.warn(
-            f"{poly.label}: no factor with f(n) >= 2 up to x={x}",
-            EmptyProductWarning,
-            stacklevel=2,
-        )
-    return p
+    return _zp(poly, x, s, mode)[1]
 
 
 @dataclass(frozen=True)
@@ -219,7 +202,11 @@ class ResidualResult:
     zeta_partial: PrecisionValue
     product_partial: PrecisionValue
     m_value: PrecisionValue
-    empty_product: bool = False
+
+    @property
+    def empty_product(self) -> bool:
+        """No factor up to x: P is the empty product 1 and M = Z - 1."""
+        return self.start_index is None
 
 
 # Bits after the binary point of the truncated Z and P that enclose an exact
@@ -275,7 +262,6 @@ def _make_result(
         zeta_partial=z,
         product_partial=p,
         m_value=m,
-        empty_product=empty,
     )
 
 
@@ -284,9 +270,7 @@ def residual(
 ) -> ResidualResult:
     """One (f, x, s) evaluation of the residual M = Z * P - 1."""
     z = zeta_partial(poly, x, s, mode)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyProductWarning)
-        p = euler_product_partial(poly, x, s, mode)
+    p = euler_product_partial(poly, x, s, mode)
     return _make_result(poly, x, s, mode, z, p, _zp(poly, x, s, mode)[2])
 
 

@@ -1,7 +1,9 @@
 import json
+import warnings
 
 import pytest
 
+from nonsieve import census, euler_product_partial, integers, prime_shell, residual, sigma_chain
 from nonsieve.cli import run
 
 
@@ -251,6 +253,12 @@ class TestBadInputExitCodes:
     def test_limit_below_one(self, capsys):
         assert self.run_err(capsys, "figure-data", "--limits", "0,5") == 2
 
+    @pytest.mark.parametrize("x", ["2", "5"])
+    def test_repeated_unit_value_rejected(self, capsys, x):
+        # f = n^2 - 3n + 3 has f(1) = f(2) = 1; Z would count both units
+        assert run(["residual", "--poly", "3,-3,1", "--x", x]) == 2
+        assert capsys.readouterr().err == "error: 3,-3,1 is not increasing at n=1\n"
+
     @pytest.mark.parametrize("key, value", [("precision", "bogus"), ("precision", None),
                                             ("format", "xml")])
     def test_config_choice_outside_flag_choices(self, capsys, tmp_path, key, value):
@@ -275,3 +283,18 @@ class TestBadInputExitCodes:
         assert code == 0
         payload = json.loads(out)
         assert payload["depth"] == 3 and payload["mode"] == "float"
+
+
+def test_edge_cases_report_in_results_and_never_warn(capsys):
+    """The empty product, unit outputs and depths above x each have a defined
+    value, and the result carries the case; none of them warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for poly, x in ((integers(), 1), (prime_shell(1), 50)):
+            assert euler_product_partial(poly, x).rational == 1
+            res = residual(poly, x)
+            assert res.empty_product and res.start_index is None
+        assert census(prime_shell(1), 20).skipped_units == 19
+        assert sigma_chain(integers(), 2, 3).rational == 0
+        assert run(["table1", "--limits", "1,2"]) == 0
+        assert capsys.readouterr().err == ""

@@ -5,7 +5,6 @@ time and P multiplies in 1 - 1/f(n)**s from the first n with f(n) >= 2.
 The package computes both from integer binary-splitting trees instead.
 """
 
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -18,13 +17,13 @@ from nonsieve import (
     residual_scan,
     zeta_partial,
 )
-from nonsieve.errors import BoundViolationError
+from nonsieve.errors import NotMonotoneError
 
 # f(1) = 1 with n0 = 2 (integers, the shells, n^2), f(1) = f(2) = 1 with
 # n0 = 3 (n^2 - 3n + 3), f(1) > 1 with n0 = 1 (n^2 + 1, n + 3), and the
 # constant 1, which has no start index and an empty product at every x.
-# With two unit values Z counts both, so M of n^2 - 3n + 3 leaves (-1, 0)
-# from x = 3 on and the residual raises BoundViolationError.
+# n^2 - 3n + 3 repeats the unit value, so the residual rejects it from x = 2
+# on: Z would count both units, and M would leave (-1, 0) from x = 3 on.
 SPECS = ("integers", "shell:1", "shell:2", "shell:3", "shell:5", "shell:7",
          "0,0,1", "3,-3,1", "1,0,1", "3,1")
 
@@ -43,9 +42,9 @@ def oracle(poly, x, s):
     return z, p, z * p - 1, n0, n0 is None
 
 
-def escapes_bound(poly, x, s):
-    _, _, m, _, empty = oracle(poly, x, s)
-    return not empty and not -1.0 < float(m) < 0.0
+def rejected(poly, x):
+    """f fails to increase strictly on 1..x, and is not the constant 1."""
+    return poly.coefficients != (1,) and any(poly(n + 1) <= poly(n) for n in range(1, x))
 
 
 def decimal_oracle(value: Fraction, places: int = 14) -> str:
@@ -73,16 +72,15 @@ def test_one_shot_matches_oracle_at_small_and_start_limits(spec, s):
     poly = parse_poly_spec(spec)
     n0 = oracle(poly, 3, s)[3] or 1
     for x in sorted({1, 2, 3, n0, n0 + 1, 17}):
-        if escapes_bound(poly, x, s):
-            with pytest.raises(BoundViolationError):
-                residual(poly, x, s, "exact")
-        else:
-            assert_matches_oracle(residual(poly, x, s, "exact"), poly, s)
+        if rejected(poly, x):
+            for engine in (residual, zeta_partial, euler_product_partial):
+                with pytest.raises(NotMonotoneError):
+                    engine(poly, x, s, "exact")
+            continue
+        assert_matches_oracle(residual(poly, x, s, "exact"), poly, s)
         z, p, _, _, _ = oracle(poly, x, s)
         assert zeta_partial(poly, x, s, "exact").rational == z
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert euler_product_partial(poly, x, s, "exact").rational == p
+        assert euler_product_partial(poly, x, s, "exact").rational == p
 
 
 @settings(max_examples=150, deadline=None)
@@ -93,8 +91,8 @@ def test_one_shot_matches_oracle_at_small_and_start_limits(spec, s):
 )
 def test_gapped_scan_matches_oracle_and_one_shot(spec, s, xs):
     poly = parse_poly_spec(spec)
-    if any(escapes_bound(poly, x, s) for x in xs):
-        with pytest.raises(BoundViolationError):
+    if rejected(poly, xs[-1]):
+        with pytest.raises(NotMonotoneError):
             residual_scan(poly, xs, s, "exact")
         return
     scan = residual_scan(poly, xs, s, "exact")
@@ -118,7 +116,9 @@ def test_gapped_scan_matches_oracle_and_one_shot(spec, s, xs):
 )
 def test_float_scan_equals_one_shot_bit_for_bit(spec, s, xs):
     poly = parse_poly_spec(spec)
-    if any(escapes_bound(poly, x, s) for x in xs):
+    if rejected(poly, xs[-1]):
+        with pytest.raises(NotMonotoneError):
+            residual_scan(poly, xs, s, "float")
         return
     for res in residual_scan(poly, xs, s, "float"):
         fresh = residual(poly, res.x, s, "float")

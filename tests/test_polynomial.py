@@ -4,6 +4,7 @@ from nonsieve import (
     IntegerPolynomial,
     NonIntegerValuedError,
     NonsieveError,
+    NotMonotoneError,
     integers,
     make_polynomial,
     parse_poly_spec,
@@ -83,21 +84,20 @@ class TestEvaluate:
 
 class TestValidateMonotone:
     def test_shell3_increasing(self):
-        assert validate_monotone(prime_shell(3), 100)
+        validate_monotone(prime_shell(3), 100)
 
     def test_identity_increasing(self):
-        assert validate_monotone(integers(), 200)
+        validate_monotone(integers(), 200)
 
     def test_decreasing_reports_first_violation(self):
         poly = prime_shell(3)
         bad = poly.__class__((100, -1), "100-n")  # bypass construction check
-        report = validate_monotone(bad, 50)
-        assert not report
-        assert report.first_violation == 1
+        with pytest.raises(NotMonotoneError, match=r"^100-n is not increasing at n=1$"):
+            validate_monotone(bad, 50)
 
     def test_shell_tie_at_one_allowed(self):
         # f(1) = 1 < f(2) for every shell with p >= 2
-        assert validate_monotone(prime_shell(2), 10)
+        validate_monotone(prime_shell(2), 10)
 
 
 class TestParsePolySpec:

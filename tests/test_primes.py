@@ -1,6 +1,5 @@
 import math
 import random
-import warnings
 from dataclasses import fields
 
 import pytest
@@ -196,8 +195,7 @@ class TestCensus:
         assert c.log_density_sum == pytest.approx(29.99144, abs=5e-4)
 
     def test_constant_one_flags_units(self):
-        with pytest.warns(UserWarning):
-            c = census(prime_shell(1), 20)
+        c = census(prime_shell(1), 20)
         assert c.prime_count == 0
         assert c.log_density_sum == 0.0
         assert c.skipped_units == 19
@@ -219,10 +217,8 @@ class TestCensus:
 )
 def test_census_scan_equals_one_census_per_limit(spec, xs):
     poly = parse_poly_spec(spec)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        scan = census_scan(poly, xs)
-        cells = [census(poly, x) for x in xs]
+    scan = census_scan(poly, xs)
+    cells = [census(poly, x) for x in xs]
     assert len(scan) == len(cells)
     for a, b in zip(scan, cells):
         for field in fields(PrimeCensus):

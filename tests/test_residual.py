@@ -1,6 +1,5 @@
 import importlib
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -8,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from nonsieve import (
     CompensatedProduct,
-    EmptyProductWarning,
     ExactRationalUnsupportedError,
     KahanSum,
+    NotMonotoneError,
     OutOfRangeError,
     euler_product_partial,
     integers,
@@ -71,14 +70,12 @@ class TestEulerProductPartial:
             v = euler_product_partial(integers(), x, 1, "exact")
             assert v.rational == Fraction(1, x)
 
-    def test_empty_product_warns_and_returns_one(self):
-        with pytest.warns(EmptyProductWarning):
-            v = euler_product_partial(integers(), 1, 1, "exact")
+    def test_empty_product_returns_one(self):
+        v = euler_product_partial(integers(), 1, 1, "exact")
         assert v.rational == 1
 
-    def test_constant_one_polynomial_warns(self):
-        with pytest.warns(EmptyProductWarning):
-            v = euler_product_partial(prime_shell(1), 50, 1, "exact")
+    def test_constant_one_polynomial_is_the_empty_product(self):
+        v = euler_product_partial(prime_shell(1), 50, 1, "exact")
         assert v.rational == 1
 
 
@@ -195,6 +192,10 @@ class TestExactSizeCap:
     def test_cap_fires_whenever_d_exceeds_it(self, spec, x, s):
         poly = parse_poly_spec(spec)
         residual_module._zp.cache_clear()
+        if spec == "3,-3,1" and x >= 2:  # f(1) = f(2) = 1: not increasing
+            with pytest.raises(NotMonotoneError):
+                zeta_partial(poly, x, s, "exact")
+            return
         den = zeta_partial(poly, x, s, "exact").pair[1]
         cap = den.bit_length() - 2  # log2 D > cap
         residual_module._zp.cache_clear()
@@ -213,10 +214,8 @@ class TestBoundProperty:
             if coeffs[-1] == 0:
                 coeffs[-1] = 1
             poly = make_polynomial(coeffs, "random")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                for res in residual_scan(poly, [10, 100, 1000], 1, "float"):
-                    assert -1.0 < res.m_value.value < 0.0
+            for res in residual_scan(poly, [10, 100, 1000], 1, "float"):
+                assert -1.0 < res.m_value.value < 0.0
 
     def test_monotone_trend_and_power_ordering(self):
         grid = list(range(10, 201, 10))
