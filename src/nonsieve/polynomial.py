@@ -96,15 +96,33 @@ def integers() -> IntegerPolynomial:
 
 
 def validate_monotone(poly: IntegerPolynomial, x: int) -> None:
-    """Raise NotMonotoneError unless f(n+1) > f(n) on 1 <= n < x."""
+    """Raise NotMonotoneError unless f(n+1) > f(n) on 1 <= n < x.
+
+    The walk stops once its last d + 1 values prove the rest: when
+    f(m + 1) > f(m) and Delta^2..Delta^d of f at m are >= 0, induction down
+    from the constant Delta^d keeps them >= 0, and Delta^1 > 0, for all n >= m.
+    Shells and nonnegative coefficients stop by n = d + 1; a negative leading
+    coefficient never stops early.
+    """
     if x < 2:
         raise ValueError(f"monotone check needs x >= 2, got {x}")
+    d = poly.degree
+    provable = poly.coefficients[-1] > 0
     values = poly.values(1, x)
-    prev = next(values)
+    window = [next(values)]  # the last d + 1 values
     for n, cur in enumerate(values, 1):
-        if cur <= prev:
+        if cur <= window[-1]:
             raise NotMonotoneError(f"{poly.label} is not increasing at n={n}")
-        prev = cur
+        window.append(cur)
+        if provable and len(window) > d:
+            del window[:-d - 1]
+            diffs = [b - a for a, b in zip(window, window[1:])]  # Delta^1, > 0
+            for _ in range(1, d):
+                diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+                if diffs[0] < 0:
+                    break
+            else:
+                return
 
 
 def parse_poly_spec(spec: str) -> IntegerPolynomial:

@@ -106,11 +106,37 @@ class PrimeCensus:
     skipped_units: int = 0
 
 
+def _struck(poly: IntegerPolynomial, x: int, bound: int) -> bytearray:
+    """struck[n] = 1 for each n <= x where some prime q <= bound divides f(n).
+
+    The roots of f mod q are the r in 1..q with q | f(r), read from f(1..bound)
+    by Horner without the f(n) >= 1 check, so errors still come from the walk.
+    """
+    coeffs = poly.coefficients[::-1]
+    low = [0] * (bound + 1)
+    for n in range(1, bound + 1):
+        for c in coeffs:
+            low[n] = low[n] * n + c
+    struck = bytearray(x + 1)
+    for q in range(2, bound + 1):
+        if all(q % p for p in range(2, isqrt(q) + 1)):
+            for r in range(1, q + 1):
+                if low[r] % q == 0:
+                    struck[r::q] = b"\1" * len(range(r, x + 1, q))
+    return struck
+
+
 def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
     """Prime count and log-density sum at each ascending limit, from one
     walk over f(1..max(x_list)).
 
-    Raises OutOfRangeError at the first f(n) >= 2**64, as is_prime does.
+    Primality comes from a sieve by the roots of f mod each prime
+    q <= B = max(37, min(1000, isqrt(4 X))), X the largest limit (Crandall &
+    Pomerance, Prime Numbers, sec. 3.2).  A value v <= B or v >= 2**64 goes
+    to is_prime (OutOfRangeError at the first f(n) >= 2**64).  Any other v is
+    composite when struck, prime below (B + 1)**2, and else goes straight to
+    Miller-Rabin: every prime <= 37 is sieved, so is_prime's trial division
+    would pass it.
     Unit outputs f(n) = 1 with n >= 2 are left out of the log sum and counted
     in skipped_units.
     The log sum is KahanSum.add written out on locals, operation for
@@ -119,14 +145,24 @@ def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
     x_list = list(x_list)
     if any(b <= a for a, b in zip(x_list, x_list[1:])):
         raise ValueError(f"limits must be strictly ascending: {x_list}")
+    if not x_list:
+        return []
+    if x_list[0] < 1:
+        raise ValueError(f"truncation limit must be >= 1, got {x_list[0]}")
+    bound = max(_SMALL_PRIMES[-1], min(1000, isqrt(4 * x_list[-1])))
+    struck = _struck(poly, x_list[-1], bound)
+    square = (bound + 1) ** 2
     results = []
     count = skipped = 0
     total = comp = 0.0
-    values = poly.values(1, x_list[-1] if x_list else 0)
+    values = poly.values(1, x_list[-1])
     n = 0  # the last n walked
     for x in x_list:
         for n, v in zip(range(n + 1, x + 1), values):
-            if is_prime(v):
+            if bound < v < _U64:
+                if not struck[n] and (v < square or strong_probable_prime(v, bases_for(v))):
+                    count += 1
+            elif is_prime(v):
                 count += 1
             if n >= 2:
                 if v == 1:

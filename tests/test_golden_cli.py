@@ -37,6 +37,12 @@ CASES = {
         for fmt in ("csv", "json")
     },
     "table2_s2": ("table2", "--powers", "2,3", "--limits", "30,90", "--s", "2"),
+    # limits past 361, where the census sieve bound leaves its floor of 37;
+    # both files were written before the census sieved
+    "table2_float_x5000": (
+        "table2", "--precision", "float", "--powers", "2,3,5", "--limits", "100,200,5000",
+    ),
+    "table2_exact_x2500": ("table2", "--powers", "2,3", "--limits", "1000,2500"),
     "figure_data_float_s15": (
         "figure-data", "--powers", "2", "--limits", "10,50", "--s", "1.5", "--float",
     ),

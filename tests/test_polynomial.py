@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nonsieve import (
     IntegerPolynomial,
@@ -98,6 +99,53 @@ class TestValidateMonotone:
     def test_shell_tie_at_one_allowed(self):
         # f(1) = 1 < f(2) for every shell with p >= 2
         validate_monotone(prime_shell(2), 10)
+
+    def test_proof_exit_reads_only_a_few_values(self):
+        class Bounded(IntegerPolynomial):
+            def values(self, lo, hi):
+                for k, v in enumerate(super().values(lo, hi)):
+                    if k == 50:
+                        raise AssertionError("read 50 values")
+                    yield v
+
+        shell = prime_shell(3)
+        validate_monotone(Bounded(shell.coefficients, shell.label), 10**9)
+
+
+def full_walk(poly, x):
+    """The monotone check as a walk over every n <= x: each f(n) is formed
+    (raising below 1) before it is compared with f(n - 1)."""
+    prev = None
+    for n in range(1, x + 1):
+        cur = poly(n)
+        if prev is not None and cur <= prev:
+            raise NotMonotoneError(f"{poly.label} is not increasing at n={n - 1}")
+        prev = cur
+
+
+def outcome(check, poly, x):
+    try:
+        check(poly, x)
+    except (NotMonotoneError, NonIntegerValuedError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-40, 40), min_size=1, max_size=6),
+    shift=st.integers(0, 10**5),
+    x=st.integers(2, 300),
+)
+@example(coeffs=[1, 0, 30, -1], shift=0, x=300)  # -n^3 + 30n^2 + 1 falls after n = 20
+@example(coeffs=[0, 0, -3, 1], shift=5, x=300)  # n^3 - 3n^2 + 5 dips at n = 1
+@example(coeffs=[0, -400, -1, 0, 1], shift=10**5, x=300)  # n^4 falls until n = 5
+@example(coeffs=[0, 60, -12, 1], shift=0, x=300)  # rises, Delta^2 < 0 until n = 3
+@example(coeffs=[1, 299, -30, 1], shift=0, x=300)  # rises, then f(10) = f(9)
+def test_proof_exit_agrees_with_a_full_walk(coeffs, shift, x):
+    coeffs = [coeffs[0] + shift, *coeffs[1:]]
+    poly = IntegerPolynomial(tuple(coeffs), ",".join(map(str, coeffs)))
+    assert outcome(validate_monotone, poly, x) == outcome(full_walk, poly, x)
 
 
 class TestParsePolySpec:

@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 from test_exact_oracle import SPECS
 
 from nonsieve import (
+    IntegerPolynomial,
+    KahanSum,
+    NonIntegerValuedError,
     OutOfRangeError,
     census,
     census_scan,
@@ -16,6 +19,7 @@ from nonsieve import (
     log_density_sum,
     parse_poly_spec,
     prime_shell,
+    residual_scan,
 )
 from nonsieve.primes import PrimeCensus, bases_for, strong_probable_prime
 
@@ -209,11 +213,20 @@ class TestCensus:
             census_scan(prime_shell(11), [10, 200])  # f(67) is the first >= 2**64
         assert prime_shell(11)(66) < 2**64 <= prime_shell(11)(67)
 
+    @pytest.mark.parametrize("xs", ([-3, 0, 5], [0], [0, 1]))
+    def test_scan_rejects_limits_below_one_as_residual_scan_does(self, xs):
+        with pytest.raises(ValueError) as from_census:
+            census_scan(integers(), xs)
+        with pytest.raises(ValueError) as from_residual:
+            residual_scan(integers(), xs)
+        assert str(from_census.value) == str(from_residual.value)
+        assert str(from_census.value) == f"truncation limit must be >= 1, got {xs[0]}"
+
 
 @settings(max_examples=120, deadline=None)
 @given(
     spec=st.sampled_from(SPECS),
-    xs=st.lists(st.integers(0, 400), min_size=1, max_size=6, unique=True).map(sorted),
+    xs=st.lists(st.integers(1, 400), min_size=1, max_size=6, unique=True).map(sorted),
 )
 def test_census_scan_equals_one_census_per_limit(spec, xs):
     poly = parse_poly_spec(spec)
@@ -224,6 +237,84 @@ def test_census_scan_equals_one_census_per_limit(spec, xs):
         for field in fields(PrimeCensus):
             assert getattr(a, field.name) == getattr(b, field.name), field.name
         assert a.log_density_sum == log_density_sum(poly, a.x)
+
+
+def census_oracle(poly, x_list):
+    """census_scan before the sieve: is_prime on every f(n) in walk order,
+    and the Kahan log sum over n >= 2 with units counted apart."""
+    rows, count, skipped, log_sum = [], 0, 0, KahanSum()
+    n = 0
+    for x in x_list:
+        for n in range(n + 1, x + 1):
+            v = poly(n)
+            count += is_prime(v)
+            if n >= 2:
+                if v == 1:
+                    skipped += 1
+                else:
+                    log_sum.add(1.0 / math.log(v))
+        rows.append(PrimeCensus(poly.label, x, count, log_sum.value, skipped))
+    return rows
+
+
+def census_outcome(scan, poly, xs):
+    """The rows field for field, the log sum as float.hex, or the error."""
+    try:
+        rows = scan(poly, xs)
+    except (OutOfRangeError, NonIntegerValuedError) as exc:
+        return type(exc), str(exc)
+    return [
+        {f.name: getattr(row, f.name) for f in fields(PrimeCensus)}
+        | {"log_density_sum": row.log_density_sum.hex()}
+        for row in rows
+    ]
+
+
+# The sieve bound is B = max(37, min(1000, isqrt(4 X))) for the largest
+# limit X; values at most B go to is_prime, struck values are composite,
+# survivors below (B + 1)**2 are prime and the rest go to Miller-Rabin.
+CENSUS_CASES = (
+    ("integers", [1, 2, 3, 36]),  # X < 37: B = 37 > X
+    ("integers", [36, 37, 38, 100]),  # f(n) = n runs over every sieving prime
+    ("integers", [37, 360, 361, 362]),  # B leaves its floor at X = 361
+    ("integers", [999, 1000, 1001, 250001]),  # B = 1000 from X = 250000
+    ("1,0,1", [6, 7, 37, 38, 39, 60]),  # f(6) = 37 = B, f(38) = 1445 > 38**2
+    ("shell:3", [5, 6, 37, 38, 1000]),  # B = 63: 61 < B < 91, 3997 < 64**2 < 4219
+    ("shell:2", [1, 2, 300]),
+    ("1", [1, 2, 40]),  # units
+    ("7", [1, 50]),  # the sieving prime 7 at every n
+    ("1409", [50]),  # prime, between B and (B + 1)**2
+    ("1369", [50]),  # 37**2, struck
+    ("2021", [50]),  # 43 * 47 > 38**2: no factor <= B, so Miller-Rabin decides
+    ("shell:11", [10, 66, 67, 200]),  # f(67) >= 2**64: OutOfRangeError
+)
+
+
+@pytest.mark.parametrize("spec, xs", CENSUS_CASES)
+def test_sieved_census_matches_the_is_prime_oracle(spec, xs):
+    poly = parse_poly_spec(spec)
+    assert census_outcome(census_scan, poly, xs) == census_outcome(census_oracle, poly, xs)
+
+
+def test_sieved_census_raises_where_the_walk_drops_below_one():
+    poly = IntegerPolynomial((1, 30, -1), "1+30n-n^2")  # f(30) = 1, f(31) = -30
+    for xs in ([10, 30], [29, 30, 31, 40], [31]):
+        expected = census_outcome(census_oracle, poly, xs)
+        assert census_outcome(census_scan, poly, xs) == expected
+    assert expected == (NonIntegerValuedError, "1+30n-n^2: f(31) = -30 < 1")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    poly=st.one_of(
+        st.sampled_from(SPECS).map(parse_poly_spec),
+        st.lists(st.integers(0, 60), min_size=1, max_size=5).map(
+            lambda c: IntegerPolynomial(tuple(c), ",".join(map(str, c)))),
+    ),
+    xs=st.lists(st.integers(1, 1500), min_size=1, max_size=5, unique=True).map(sorted),
+)
+def test_sieved_census_matches_the_oracle_on_random_polynomials(poly, xs):
+    assert census_outcome(census_scan, poly, xs) == census_outcome(census_oracle, poly, xs)
 
 
 class TestWitnessTable:
