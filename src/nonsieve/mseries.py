@@ -128,7 +128,11 @@ def _assemble(poly, x, max_depth, mode, magnitudes) -> MSeriesExpansion:
     acc = KahanSum(_number(mode))
     for t in terms:
         acc.add(t.sign * _raw(t.magnitude))
-    partial = _wrap(mode, *acc.as_pair())
+    return _expansion(poly, x, max_depth, mode, terms, _wrap(mode, *acc.as_pair()))
+
+
+def _expansion(poly, x, max_depth, mode, terms, partial) -> MSeriesExpansion:
+    """An expansion of terms summing to partial, against M(x) at s = 1."""
     ref = residual(poly, x, 1, mode).m_value
     return MSeriesExpansion(
         label=poly.label,
@@ -169,6 +173,20 @@ def mseries_literal(
             else:
                 tiny_streak = 0
     return _assemble(poly, x, max_depth, mode, magnitudes)
+
+
+def _full_depth_sum(poly, x: int) -> PrecisionValue:
+    """The exact series over every depth, in O(x).
+
+    sum_m (-1)**m e_m(a) = prod (1 - a_k) for the elementary symmetric e_m
+    (Macdonald, Symmetric Functions, I.2) sums the depths to -sum_j a_j S_j T_j,
+    S_j = sum_{i=2}^{j} a_i, T_j = prod_{k>j} (1 - a_k), evaluated Horner-style.
+    """
+    s = total = Fraction(0)
+    for a in _reciprocals(poly, x, EXACT)[2:]:
+        s += a
+        total = total * (1 - a) - a * s
+    return PrecisionValue.exact(total)
 
 
 def enumerate_oracle(
@@ -258,11 +276,18 @@ def compare_to_residual(
 ) -> ComparisonReport:
     """Deviation of the literal series from the residual at the same x.
 
-    The deviation is residual minus literal partial sum, the sign
-    convention under which every observed gap is nonnegative.  A gap at
-    full depth is a finding (SYSTEMATIC_GAP), not a failure.
+    The deviation is residual minus literal partial sum.  A gap at full
+    depth is a finding (SYSTEMATIC_GAP), not a failure.  Exact mode at full
+    depth (max_depth None or >= x) sums the series by _full_depth_sum.
+    For f(1) = 1 < f(2) the gap is S_x (1 + P) + 2 P - 2 + sum_j a_j**2 T_j
+    with P = T_1, nonnegative in every tested case; for f(1) > 1 the ranges
+    leave out 1/f(1), and the gap can be negative (-1/4 for n + 1 at x = 3).
     """
-    expansion = mseries_literal(poly, x, max_depth, mode)
+    depth = x if max_depth is None else max_depth
+    if mode == EXACT and 2 <= x <= depth:  # no chain is deeper than x
+        expansion = _expansion(poly, x, depth, mode, (), _full_depth_sum(poly, x))
+    else:  # x < 2 included: mseries_literal raises its own errors
+        expansion = mseries_literal(poly, x, max_depth, mode)
     cutoff = None
     if mode == FLOAT:
         for t in expansion.terms:

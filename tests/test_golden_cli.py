@@ -46,6 +46,16 @@ CASES = {
     "figure_data_float_s15": (
         "figure-data", "--powers", "2", "--limits", "10,50", "--s", "1.5", "--float",
     ),
+    # exact full-depth compare: the series benchmark's command, f(1) > 1,
+    # and a depth above x; all three files were written before compare
+    # summed the full depth in closed form
+    "compare_exact_x55": (
+        "compare", "--poly", "shell:3", "--x", "55", "--depth", "full", "--exact",
+    ),
+    "compare_f1_above_one_exact": ("compare", "--poly", "1,1", "--x", "20", "--exact"),
+    "compare_depth_above_x_exact": (
+        "compare", "--poly", "integers", "--x", "30", "--depth", "40", "--exact",
+    ),
     # single-polynomial commands, both modes
     **{
         f"{name}_{mode}": (cmd, "--poly", poly, "--x", x, *extra, f"--{mode}")

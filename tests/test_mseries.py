@@ -1,13 +1,19 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_exact_oracle import SPECS
 
+import nonsieve.mseries
 from nonsieve import (
+    EXACT,
     FLOAT,
+    IntegerPolynomial,
     KahanSum,
     LimitsTooLargeError,
+    NonIntegerValuedError,
+    NotMonotoneError,
     compare_to_residual,
     enumerate_oracle,
     expansion_oracle,
@@ -177,6 +183,118 @@ class TestCompareToResidual:
         d = compare_to_residual(prime_shell(3), 3).to_dict()
         assert d["verdict"] == "SYSTEMATIC_GAP"
         assert d["deviation"] == "1/2527"
+
+    def test_gap_is_negative_when_f1_exceeds_one(self):
+        # the ranges start at index 2, so 1/f(1) = 1/2 is missing
+        report = compare_to_residual(parse_poly_spec("1,1"), 3)
+        assert report.deviation.rational == Fraction(-1, 4)
+        assert report.to_dict()["deviation"] == "-1/4"
+
+    @pytest.mark.parametrize("x", [2, 3, 8, 20])
+    @pytest.mark.parametrize("spec", ["integers", "shell:2", "shell:3", "shell:5"])
+    def test_gap_closed_form_when_f1_is_one(self, spec, x):
+        # M - L = S (1 + P) + 2 P - 2 + sum_j a_j**2 T_j, T_j = prod_{k>j} (1 - a_k)
+        poly = parse_poly_spec(spec)
+        a = [Fraction(1, poly(n)) for n in range(2, x + 1)]
+        tails = [Fraction(1)]
+        for v in reversed(a):
+            tails.append(tails[-1] * (1 - v))
+        tails = tails[::-1]  # tails[i] is the product over a[i:]
+        s, p = sum(a), tails[0]
+        gap = s * (1 + p) + 2 * p - 2 + sum(v * v * tails[i + 1] for i, v in enumerate(a))
+        assert compare_to_residual(poly, x).deviation.rational == gap
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and text of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# nonnegative coefficients, degree 0-4: constants (the residual rejects all
+# but 1), f(1) = 1 such as n**2, and f(1) > 1 such as n + 1
+coefficient_specs = st.builds(
+    lambda low, lead: ",".join(map(str, low + [lead])),
+    st.lists(st.integers(0, 3), max_size=4),
+    st.integers(1, 3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.one_of(
+        st.sampled_from(["integers", "shell:2", "shell:3", "shell:5", "1"]),
+        coefficient_specs,
+    ),
+    x=st.integers(2, 40),
+)
+def test_full_depth_closed_form_equals_the_dp(spec, x):
+    poly = parse_poly_spec(spec)
+    dp = outcome(mseries_literal, poly, x, None, EXACT)
+    for depth in (None, x, x + 3):
+        report = outcome(compare_to_residual, poly, x, depth)
+        if isinstance(dp, tuple):
+            assert report == dp
+            continue
+        assert report.max_depth == (x if depth is None else depth)
+        assert report.partial_sum.rational == dp.partial_sum.rational
+        assert report.residual.rational == dp.residual_reference.rational
+        assert report.deviation.rational == dp.deviation.rational
+        assert report.verdict == (
+            "MATCH" if abs(dp.deviation.value) <= 1e-12 else "SYSTEMATIC_GAP"
+        )
+        assert report.cutoff_depth is None
+    if x <= 12 and not isinstance(dp, tuple):
+        with mock.patch.object(nonsieve.mseries, "_ENUM_MAX_DEPTH", 12):
+            oracle = enumerate_oracle(poly, x)
+        assert compare_to_residual(poly, x).partial_sum.rational == oracle.partial_sum.rational
+
+
+class TestFullDepthPath:
+    def test_exact_full_depth_does_not_run_the_dp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sigma_chain called")
+
+        monkeypatch.setattr(nonsieve.mseries, "sigma_chain", refuse)
+        for depth in (None, 300, 301):
+            report = compare_to_residual(prime_shell(3), 300, depth)
+            assert report.max_depth == (300 if depth is None else depth)
+            assert report.verdict == "SYSTEMATIC_GAP"
+
+    @pytest.mark.parametrize("depth, mode", [(None, FLOAT), (20, FLOAT), (6, EXACT)])
+    def test_float_and_truncated_compare_run_the_dp(self, monkeypatch, depth, mode):
+        calls = []
+        real = nonsieve.mseries.sigma_chain
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(nonsieve.mseries, "sigma_chain", counted)
+        compare_to_residual(prime_shell(3), 8, depth, mode)
+        assert calls
+
+    @pytest.mark.parametrize(
+        "poly, x, depth, error, text",
+        [
+            (integers(), 1, None, ValueError, "need max_depth >= 2, got 1"),
+            (integers(), 1, 5, ValueError, "need x >= 2, got 1"),
+            (integers(), 1, 1, ValueError, "need max_depth >= 2, got 1"),
+            (parse_poly_spec("3"), 5, None, NotMonotoneError, "3 is not increasing at n=1"),
+            (parse_poly_spec("5,-6,2"), 5, None, NotMonotoneError,
+             "5,-6,2 is not increasing at n=1"),
+            # f(3) < 1 is found reading 1/f(n), before the residual's monotone check
+            (IntegerPolynomial((5, -2), "5,-2"), 4, None, NonIntegerValuedError,
+             "5,-2: f(3) = -1 < 1"),
+            (IntegerPolynomial((5, -2), "5,-2"), 4, 9, NonIntegerValuedError,
+             "5,-2: f(3) = -1 < 1"),
+        ],
+    )
+    def test_errors_match_the_dp(self, poly, x, depth, error, text):
+        assert outcome(mseries_literal, poly, x, depth) == (error, text)
+        assert outcome(compare_to_residual, poly, x, depth) == (error, text)
 
 
 def float_series_reference(poly, x, max_depth):
