@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import reference
 from .errors import BoundViolationError, NonsieveError
 from .mseries import compare_to_residual, mseries_literal
-from .numerics import EXACT, FLOAT, format_float
+from .numerics import EXACT, FLOAT, format_float, rational_str
 from .polynomial import IntegerPolynomial, integers, parse_poly_spec, prime_shell
 from .primes import census_scan
 from .residual import residual, residual_scan
@@ -107,7 +107,7 @@ def cmd_figure_data(cfg: RunConfig) -> list[dict]:
 def _precision_payload(value, mode: str) -> dict:
     payload = {"decimal": value.decimal_str(14)}
     if mode == EXACT:
-        payload["rational"] = str(value.rational)
+        payload["rational"] = rational_str(value)
     return payload
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import LimitsTooLargeError
-from .numerics import EXACT, FLOAT, KahanSum, PrecisionValue
+from .numerics import EXACT, FLOAT, KahanSum, PrecisionValue, rational_str
 from .residual import residual
 
 _ENUM_MAX_X = 12
@@ -118,7 +118,7 @@ class MSeriesExpansion:
 
 def _num_str(v: PrecisionValue) -> str:
     if v.mode == EXACT:
-        return str(v.rational)
+        return rational_str(v)
     return repr(v.value)
 
 

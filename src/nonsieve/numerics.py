@@ -10,10 +10,11 @@ sums and products keep roughly double-double accuracy.
 from __future__ import annotations
 
 import operator
+import sys
 from fractions import Fraction
 from typing import Callable, Union
 
-from .errors import ExactRationalUnsupportedError
+from .errors import ExactRationalUnsupportedError, OutOfRangeError
 
 EXACT = "exact"
 FLOAT = "float"
@@ -214,6 +215,22 @@ def _fixed_point(num: int, den: int, places: int) -> str:
     if places == 0:
         return sign + digits
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
+def rational_str(value: PrecisionValue) -> str:
+    """str() of an exact value's Fraction, "num/den" or "num".
+
+    Python refuses to print an int of more digits than its int-to-str limit
+    (4300 by default); that becomes an OutOfRangeError whose message a CLI
+    user can act on.
+    """
+    try:
+        return str(value.rational)
+    except ValueError:
+        raise OutOfRangeError(
+            f"an exact rational has over {sys.get_int_max_str_digits()} digits in its "
+            "numerator or denominator, Python's int-to-str limit; use --precision float"
+        ) from None
 
 
 def require_exactable_exponent(s, mode: str) -> None:

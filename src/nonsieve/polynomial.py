@@ -7,11 +7,39 @@ so evaluation never overflows or rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, islice, repeat
 from math import comb
 
 from .errors import NonIntegerValuedError, NonsieveError, NotMonotoneError
 
 _CONSTRUCTION_SAMPLE = 1000  # n range sampled by the integer-valued check
+
+
+def _difference_edge(window: list[int]) -> list[int] | None:
+    """Delta^0..Delta^d of f at m, read from the values f(m..m + d) of a
+    degree-d polynomial, or None if some Delta^k with k >= 1 is negative.
+
+    Delta^d = d! * c_d is constant, and Delta^k(n + 1) = Delta^k(n) +
+    Delta^(k+1)(n), so induction down from Delta^d keeps every Delta^k >= 0
+    for all n >= m once it holds at m: f is then nondecreasing from m on.
+    """
+    edge = [window[0]]
+    row = window
+    while len(row) > 1:
+        row = [b - a for a, b in zip(row, row[1:])]
+        if row[0] < 0:
+            return None
+        edge.append(row[0])
+    return edge
+
+
+def _difference_stream(edge: list[int]):
+    """f(m), f(m + 1), ... from the Delta^0..Delta^d of f at m: one nested
+    accumulate per order over the constant Delta^d (Knuth, TAOCP 2, 4.6.4)."""
+    stream = repeat(edge[-1])
+    for start in reversed(edge[:-1]):
+        stream = accumulate(stream, initial=start)
+    return stream
 
 
 @dataclass(frozen=True)
@@ -40,12 +68,18 @@ class IntegerPolynomial:
     def values(self, lo: int, hi: int):
         """Yield f(lo), f(lo + 1), ..., f(hi), each as __call__ returns it.
 
-        The walks over f(1..x) read this generator: one Horner loop on
-        locals per value, no method call, and no list of the outputs.
+        The walks over f(1..x) read this generator, and no list of the
+        outputs is built.  Each value is a Horner loop on locals until the
+        last d + 1 values prove f >= 1 for the rest (_difference_edge); from
+        there on the values come from the difference table, d C-level
+        additions per value, so they are exact and raise nothing.
         """
         if lo < 1:
             raise ValueError(f"polynomial domain is n >= 1, got {lo}")
         coeffs = self.coefficients[::-1]
+        d = self.degree
+        provable = coeffs[0] > 0  # a negative leading coefficient never proves
+        window = []  # the last d + 1 values
         for n in range(lo, hi + 1):
             value = 0
             for c in coeffs:
@@ -53,6 +87,15 @@ class IntegerPolynomial:
             if value < 1:
                 raise NonIntegerValuedError(f"{self.label}: f({n}) = {value} < 1")
             yield value
+            if provable:
+                window.append(value)
+                if len(window) > d:
+                    del window[:-d - 1]
+                    edge = _difference_edge(window)
+                    if edge is not None:
+                        # The table runs from m = n - d: skip f(m..n), stop after f(hi).
+                        yield from islice(_difference_stream(edge), d + 1, hi - n + d + 1)
+                        return
 
     def __str__(self) -> str:
         return self.label
@@ -98,11 +141,10 @@ def integers() -> IntegerPolynomial:
 def validate_monotone(poly: IntegerPolynomial, x: int) -> None:
     """Raise NotMonotoneError unless f(n+1) > f(n) on 1 <= n < x.
 
-    The walk stops once its last d + 1 values prove the rest: when
-    f(m + 1) > f(m) and Delta^2..Delta^d of f at m are >= 0, induction down
-    from the constant Delta^d keeps them >= 0, and Delta^1 > 0, for all n >= m.
-    Shells and nonnegative coefficients stop by n = d + 1; a negative leading
-    coefficient never stops early.
+    The walk stops once its last d + 1 values prove the rest: they rise, so
+    Delta^1 > 0 at the first of them, and _difference_edge keeps Delta^1 at
+    or above that for all later n.  Shells and nonnegative coefficients stop
+    by n = d + 1; a negative leading coefficient never stops early.
     """
     if x < 2:
         raise ValueError(f"monotone check needs x >= 2, got {x}")
@@ -116,12 +158,7 @@ def validate_monotone(poly: IntegerPolynomial, x: int) -> None:
         window.append(cur)
         if provable and len(window) > d:
             del window[:-d - 1]
-            diffs = [b - a for a, b in zip(window, window[1:])]  # Delta^1, > 0
-            for _ in range(1, d):
-                diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-                if diffs[0] < 0:
-                    break
-            else:
+            if _difference_edge(window) is not None:
                 return
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 from .errors import BoundViolationError, OutOfRangeError
 from .numerics import (
@@ -71,21 +72,22 @@ def _checked_start(poly: IntegerPolynomial, x_list: list[int], s, mode: str) -> 
 _LEAF = 8
 
 
-def _split(poly: IntegerPolynomial, lo: int, hi: int, s: int) -> tuple[int, int, int]:
+def _split(values, lo: int, hi: int, s: int) -> tuple[int, int, int]:
     """Binary splitting over t_n = f(n)**s for lo <= n < hi.
 
     Returns (S, D, Q) with S / D = sum 1/t_n, D = prod t_n and
     Q = prod (t_n - 1), so Q / D = prod (1 - 1/t_n).  An empty range gives
-    (0, 1, 1).
+    (0, 1, 1).  The leaves read f(lo..hi - 1) from the iterator `values`,
+    which must be at f(lo): the tree folds its leaves left to right.
     """
     if hi - lo <= _LEAF:
         s_num, den, q = 0, 1, 1
-        for t in poly.values(lo, hi - 1):
+        for t in islice(values, hi - lo):
             t **= s
             s_num, den, q = s_num * t + den, den * t, q * (t - 1)
         return s_num, den, q
     mid = (lo + hi) // 2
-    return _join(_split(poly, lo, mid, s), _split(poly, mid, hi, s))
+    return _join(_split(values, lo, mid, s), _split(values, mid, hi, s))
 
 
 def _join(left: tuple[int, int, int], right: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -108,10 +110,11 @@ def _exact_zps(poly: IntegerPolynomial, x_list: list[int], s: int, n0: int | Non
     consecutive limits, folded into the running (S, D, Q).  Z and P hold
     the same D."""
     lo = x_list[-1] + 1 if n0 is None else n0  # next n to fold in
+    values = poly.values(lo, x_list[-1])
     sdq = (0, 1, 1)
     for x in x_list:
         if x >= lo:
-            sdq = _join(sdq, _split(poly, lo, x + 1, s))
+            sdq = _join(sdq, _split(values, lo, x + 1, s))
             lo = x + 1
         s_num, den, q = sdq
         yield (
@@ -125,31 +128,41 @@ def _float_zps(poly: IntegerPolynomial, x_list: list[int], s, n0: int | None):
 
     Z is KahanSum.add and P is CompensatedProduct.multiply, written out on
     locals operation for operation, so both are bit-identical to what those
-    classes give.
+    classes give.  The terms 1/f(n)**s come from C-level maps; each limit's
+    segment is split at the first factor, so the loops test nothing.
     """
     total, comp = (1.0 if n0 == 1 else 0.0), 0.0  # Z: f(1) > 1 exactly when n0 = 1
     prod, err = 1.0, 0.0  # P
     first = x_list[-1] + 1 if n0 is None else n0  # the first n with a factor
     values = poly.values(1, x_list[-1])
+    if s == 1:
+        terms = map((1.0).__truediv__, values)  # 1.0 / v
+    else:
+        terms = map(pow, map(float, values), repeat(-s))  # float(v) ** -s
+    splitter = _SPLITTER
     n = 0  # the last n walked
     for x in x_list:
-        for n, v in zip(range(n + 1, x + 1), values):
-            t = 1.0 / v if s == 1 else float(v) ** -s
+        for t in islice(terms, max(0, min(x, first - 1) - n)):  # Z only
             z = total + t  # TwoSum(total, t)
             bb = z - total
             comp += (total - (z - bb)) + (t - bb)
             total = z
-            if n >= first:
-                f = 1.0 - t
-                p = prod * f  # TwoProduct(prod, f), Veltkamp splits
-                c = _SPLITTER * prod
-                ah = c - (c - prod)
-                al = prod - ah
-                c = _SPLITTER * f
-                bh = c - (c - f)
-                bl = f - bh
-                err = err * f + (((ah * bh - p) + ah * bl + al * bh) + al * bl)
-                prod = p
+        for t in islice(terms, max(0, x - max(n, first - 1))):  # Z and P
+            z = total + t
+            bb = z - total
+            comp += (total - (z - bb)) + (t - bb)
+            total = z
+            f = 1.0 - t
+            p = prod * f  # TwoProduct(prod, f), Veltkamp splits
+            c = splitter * prod
+            ah = c - (c - prod)
+            al = prod - ah
+            c = splitter * f
+            bh = c - (c - f)
+            bl = f - bh
+            err = err * f + (((ah * bh - p) + ah * bl + al * bh) + al * bl)
+            prod = p
+        n = x
         yield PrecisionValue.compensated(total, comp), PrecisionValue.compensated(prod, err)
 
 

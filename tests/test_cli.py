@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 
 import pytest
@@ -258,6 +259,17 @@ class TestBadInputExitCodes:
         # f = n^2 - 3n + 3 has f(1) = f(2) = 1; Z would count both units
         assert run(["residual", "--poly", "3,-3,1", "--x", x]) == 2
         assert capsys.readouterr().err == "error: 3,-3,1 is not increasing at n=1\n"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
+    @pytest.mark.parametrize("command", ["residual", "compare"])
+    def test_rational_past_the_digit_limit(self, capsys, command):
+        # At x = 1000 the exact rationals of shell:3 have more digits than
+        # Python will turn into a str; the advice must be one the CLI takes.
+        assert run([command, "--poly", "shell:3", "--x", "1000", "--exact"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: an exact rational has over {sys.get_int_max_str_digits()} digits in its "
+            "numerator or denominator, Python's int-to-str limit; use --precision float\n"
+        )
 
     @pytest.mark.parametrize("key, value", [("precision", "bogus"), ("precision", None),
                                             ("format", "xml")])

@@ -1,6 +1,9 @@
+from itertools import islice
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nonsieve import polynomial as polynomial_module
 from nonsieve import (
     IntegerPolynomial,
     NonIntegerValuedError,
@@ -185,3 +188,58 @@ class TestValues:
     def test_domain_starts_at_one(self):
         with pytest.raises(ValueError):
             next(integers().values(0, 3))
+
+
+def prefix(values, take):
+    """The first `take` items of an iterator, then the type and text of the
+    error that ended it, if one did."""
+    out = []
+    try:
+        out.extend(islice(values, take))
+    except NonIntegerValuedError as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-40, 40), min_size=1, max_size=6).filter(lambda c: c[-1] != 0),
+    shift=st.integers(0, 10**4),
+    lo=st.integers(1, 40),
+    span=st.integers(-2, 120),
+    take=st.integers(0, 130),
+)
+@example(coeffs=[99, -20, 1], shift=0, lo=1, span=20, take=130)  # f(1) = 80, f(9) = 0
+@example(coeffs=[99, -20, 1], shift=0, lo=2, span=20, take=5)  # stops before f(9)
+@example(coeffs=[1, 0, 30, -1], shift=0, lo=1, span=60, take=130)  # negative lead: falls after n = 20
+@example(coeffs=[3, -3, 1], shift=0, lo=1, span=30, take=130)  # f(1) = f(2) = 1: Delta^1 = 0
+@example(coeffs=[1, -3, 3], shift=0, lo=9, span=40, take=130)  # shell:3 from lo > d + 1
+@example(coeffs=[5], shift=0, lo=3, span=-1, take=130)  # lo > hi
+def test_values_equal_calls(coeffs, shift, lo, span, take):
+    """values(lo, hi) against one call per n, up to and including the first
+    value below 1, also when only a prefix is read."""
+    coeffs = [coeffs[0] + shift, *coeffs[1:]]
+    poly = IntegerPolynomial(tuple(coeffs), ",".join(map(str, coeffs)))
+    hi = lo + span
+    assert prefix(poly.values(lo, hi), take) == prefix(map(poly, range(lo, hi + 1)), take)
+
+
+def test_values_stream_far_past_the_proof():
+    poly = prime_shell(7)
+    assert list(islice(poly.values(1, 10**12), 10**5)) == [poly(n) for n in range(1, 10**5 + 1)]
+
+
+@pytest.mark.parametrize("coeffs, lo, edge", [
+    ((3, -3, 1), 1, [1, 0, 2]),  # f(1..3) = 1, 1, 3: a zero difference proves
+    ((1, -3, 3), 1, [1, 6, 6]),  # shell:3
+    ((1, -3, 3), 5, [61, 30, 6]),
+    ((5,), 4, [5]),  # a constant proves at its first value
+    ((30, -10, 1), 1, [5, 1, 2]),  # falls to f(5) = 5, proves at m = 5
+])
+def test_values_stream_from_the_first_window_that_proves(monkeypatch, coeffs, lo, edge):
+    edges = []
+    stream = polynomial_module._difference_stream
+    monkeypatch.setattr(polynomial_module, "_difference_stream", lambda e: edges.append(e) or stream(e))
+    poly = IntegerPolynomial(coeffs, "p")
+    assert list(poly.values(lo, 60)) == [poly(n) for n in range(lo, 61)]
+    assert edges == [edge]

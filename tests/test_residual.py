@@ -251,12 +251,15 @@ def reference_float_zps(poly, x_list, s, n0):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    coeffs=st.lists(st.integers(0, 40), min_size=1, max_size=5).filter(lambda c: c[-1] > 0),
-    s=st.sampled_from((1, 1.5, 2)),
-    xs=st.lists(st.integers(1, 300), min_size=1, max_size=5, unique=True).map(sorted),
+    coeffs=st.one_of(
+        st.lists(st.integers(0, 40), min_size=1, max_size=5).filter(lambda c: c[-1] > 0),
+        st.sampled_from([prime_shell(p).coefficients for p in range(1, 8)]),
+    ),
+    s=st.sampled_from((1, 1.5, 2, 3.25)),
+    xs=st.lists(st.integers(1, 3000), min_size=1, max_size=5, unique=True).map(sorted),
 )
 def test_inlined_float_kernel_is_bit_identical_to_the_accumulators(coeffs, s, xs):
-    poly = make_polynomial(coeffs)  # nonnegative coefficients: f >= 1 on n >= 1
+    poly = make_polynomial(coeffs)  # nonnegative coefficients or a shell: f >= 1 on n >= 1
     n0 = start_index(poly, xs[-1])
     got = [((z.approx, z.comp), (p.approx, p.comp)) for z, p in _float_zps(poly, xs, s, n0)]
     want = reference_float_zps(poly, xs, s, n0)
