@@ -2,9 +2,9 @@
 
 Exact mode stores an integer numerator/denominator pair, reduced to a
 `fractions.Fraction` only when one is asked for, and is the ground truth
-for every tabulated case.  Float mode carries a binary64 value plus a running
-compensation term (error-free transformations throughout), so accumulated
-sums and products keep roughly double-double accuracy.
+for every tabulated case.  Float mode carries a binary64 value plus the
+running compensation of a Neumaier sum (`two_sum`, `KahanSum`); the
+residual adds only terms of one sign, so each sum stays within a few ulps.
 """
 
 from __future__ import annotations
@@ -43,18 +43,6 @@ def two_prod(a: float, b: float) -> tuple[float, float]:
     bh, bl = _split(b)
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p, e
-
-
-def dd_add(ahi: float, alo: float, bhi: float, blo: float) -> tuple[float, float]:
-    s, e = two_sum(ahi, bhi)
-    e += alo + blo
-    return two_sum(s, e)
-
-
-def dd_mul(ahi: float, alo: float, bhi: float, blo: float) -> tuple[float, float]:
-    p, e = two_prod(ahi, bhi)
-    e += ahi * blo + alo * bhi
-    return two_sum(p, e)
 
 
 class KahanSum:

@@ -55,7 +55,6 @@ LOG_SUM_TOLERANCE = 5e-4
 
 @dataclass(frozen=True)
 class CellCheck:
-    computed: object
     reference: object
     matches: bool
 
@@ -64,18 +63,18 @@ def check_m(row_key, x: int, m_string: str) -> CellCheck | None:
     ref = REFERENCE_M.get((row_key, x))
     if ref is None:
         return None
-    return CellCheck(m_string, ref, m_string == ref)
+    return CellCheck(ref, m_string == ref)
 
 
 def check_prime_count(row_key, x: int, count: int) -> CellCheck | None:
     ref = REFERENCE_PRIME_COUNT.get((row_key, x))
     if ref is None:
         return None
-    return CellCheck(count, ref, count == ref)
+    return CellCheck(ref, count == ref)
 
 
 def check_log_sum(row_key, x: int, value: float) -> CellCheck | None:
     ref = REFERENCE_LOG_SUM.get((row_key, x))
     if ref is None:
         return None
-    return CellCheck(value, ref, abs(value - ref) <= LOG_SUM_TOLERANCE)
+    return CellCheck(ref, abs(value - ref) <= LOG_SUM_TOLERANCE)

@@ -8,7 +8,8 @@ Exact mode works on plain integers.  Before that start index n0 every
 f(n) is 1, so Z and P share the denominator D = prod_{n=n0}^{x} f(n)**s,
 and one binary-splitting tree over f(n0..x)**s gives both numerators
 (Haible & Papanikolaou 1998).  Nothing is reduced until a Fraction is
-asked for.
+asked for.  Float mode carries M itself through a recurrence whose sums
+never cancel, rather than forming Z * P - 1 from two values near 1.
 """
 
 from __future__ import annotations
@@ -18,14 +19,7 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 
 from .errors import BoundViolationError, OutOfRangeError
-from .numerics import (
-    _SPLITTER,
-    EXACT,
-    PrecisionValue,
-    dd_add,
-    dd_mul,
-    require_exactable_exponent,
-)
+from .numerics import EXACT, PrecisionValue, require_exactable_exponent, two_sum
 from .polynomial import IntegerPolynomial, validate_monotone
 
 
@@ -106,7 +100,7 @@ def _units(x: int, n0: int | None) -> int:
 
 
 def _exact_zps(poly: IntegerPolynomial, x_list: list[int], s: int, n0: int | None):
-    """Exact (Z, P) at each ascending limit: one tree per segment between
+    """Exact (Z, P, M) at each ascending limit: one tree per segment between
     consecutive limits, folded into the running (S, D, Q).  Z and P hold
     the same D."""
     lo = x_list[-1] + 1 if n0 is None else n0  # next n to fold in
@@ -117,57 +111,62 @@ def _exact_zps(poly: IntegerPolynomial, x_list: list[int], s: int, n0: int | Non
             sdq = _join(sdq, _split(values, lo, x + 1, s))
             lo = x + 1
         s_num, den, q = sdq
-        yield (
-            PrecisionValue.ratio(s_num + _units(x, n0) * den, den),
-            PrecisionValue.ratio(q, den),
-        )
+        z = PrecisionValue.ratio(s_num + _units(x, n0) * den, den)
+        p = PrecisionValue.ratio(q, den)
+        yield z, p, _combine(z, p)
 
 
 def _float_zps(poly: IntegerPolynomial, x_list: list[int], s, n0: int | None):
-    """Compensated (Z, P) at each ascending limit, from one walk over f.
+    """Compensated (Z, P, M) at each ascending limit, from one walk over f.
 
-    Z is KahanSum.add and P is CompensatedProduct.multiply, written out on
-    locals operation for operation, so both are bit-identical to what those
-    classes give.  The terms 1/f(n)**s come from C-level maps; each limit's
-    segment is split at the first factor, so the loops test nothing.
+    The walk carries u = Z - 1, Q = P and M itself, never Z * P - 1.  With
+    t = 1/f(n)**s, each factor n >= n0 takes one step
+        p = -t * Q;  u += t;  M += p * u;  Q += p,
+    since M_n - M_{n-1} = -t * Q_{n-1} * u_n.  Every term of each sum has
+    one sign, so nothing cancels: each sum is a Neumaier TwoSum, and each
+    product reads its factor's compensation too.  Before n0 every term is
+    1.0, P = 1 and M = u, and u is exactly 0 at n0 - 1, where M starts.
+    The terms come from C-level maps; each limit's segment is split at the
+    first factor, so the loops test nothing.
     """
-    total, comp = (1.0 if n0 == 1 else 0.0), 0.0  # Z: f(1) > 1 exactly when n0 = 1
-    prod, err = 1.0, 0.0  # P
+    u, uc = (0.0 if n0 == 1 else -1.0), 0.0  # f(1) > 1 exactly when n0 = 1
+    q, qc = 1.0, 0.0
+    m, mc = 0.0, 0.0
     first = x_list[-1] + 1 if n0 is None else n0  # the first n with a factor
     values = poly.values(1, x_list[-1])
     if s == 1:
         terms = map((1.0).__truediv__, values)  # 1.0 / v
     else:
         terms = map(pow, map(float, values), repeat(-s))  # float(v) ** -s
-    splitter = _SPLITTER
     n = 0  # the last n walked
     for x in x_list:
-        for t in islice(terms, max(0, min(x, first - 1) - n)):  # Z only
-            z = total + t  # TwoSum(total, t)
-            bb = z - total
-            comp += (total - (z - bb)) + (t - bb)
-            total = z
-        for t in islice(terms, max(0, x - max(n, first - 1))):  # Z and P
-            z = total + t
-            bb = z - total
-            comp += (total - (z - bb)) + (t - bb)
-            total = z
-            f = 1.0 - t
-            p = prod * f  # TwoProduct(prod, f), Veltkamp splits
-            c = splitter * prod
-            ah = c - (c - prod)
-            al = prod - ah
-            c = splitter * f
-            bh = c - (c - f)
-            bl = f - bh
-            err = err * f + (((ah * bh - p) + ah * bl + al * bh) + al * bl)
-            prod = p
+        u += sum(islice(terms, max(0, min(x, first - 1) - n)))  # 1.0s: exact
+        for t in islice(terms, max(0, x - max(n, first - 1))):
+            p = -t * (q + qc)
+            z = u + t  # TwoSum(u, t)
+            bb = z - u
+            uc += (u - (z - bb)) + (t - bb)
+            u = z
+            w = p * (u + uc)
+            z = m + w
+            bb = z - m
+            mc += (m - (z - bb)) + (w - bb)
+            m = z
+            z = q + p
+            bb = z - q
+            qc += (q - (z - bb)) + (p - bb)
+            q = z
         n = x
-        yield PrecisionValue.compensated(total, comp), PrecisionValue.compensated(prod, err)
+        zh, zl = two_sum(1.0, u)
+        yield (
+            PrecisionValue.compensated(zh, zl + uc),
+            PrecisionValue.compensated(q, qc),
+            PrecisionValue.compensated(*((m, mc) if x >= first else (u, uc))),
+        )
 
 
 def _zps(poly: IntegerPolynomial, x_list: list[int], s, mode: str, n0: int | None):
-    """(Z, P) at each ascending limit in the accumulation mode."""
+    """(Z, P, M) at each ascending limit in the accumulation mode."""
     if mode == EXACT:
         return _exact_zps(poly, x_list, int(s), n0)
     return _float_zps(poly, x_list, s, n0)
@@ -175,10 +174,11 @@ def _zps(poly: IntegerPolynomial, x_list: list[int], s, mode: str, n0: int | Non
 
 @functools.lru_cache(maxsize=1)
 def _zp(poly: IntegerPolynomial, x: int, s, mode: str):
-    """Z(x), P(x) and the start index n0 from one checked pass over f(1..x).
+    """Z(x), P(x), M(x) and the start index n0 from one checked pass over f(1..x).
 
-    residual() asks zeta_partial, euler_product_partial and then n0 for the
-    same (f, x, s, mode); keeping the last answer lets all three use one pass.
+    residual() asks zeta_partial, euler_product_partial and then M and n0 for
+    the same (f, x, s, mode); keeping the last answer lets all three use one
+    pass.
     """
     n0 = _checked_start(poly, [x], s, mode)
     return (*next(_zps(poly, [x], s, mode, n0)), n0)
@@ -228,28 +228,24 @@ class ResidualResult:
 _ENCLOSE_BITS = 128
 
 
-def _combine(z: PrecisionValue, p: PrecisionValue, mode: str) -> PrecisionValue:
-    """M = Z * P - 1 in the accumulation mode."""
-    if mode == EXACT:
-        (zn, zd), (pn, pd) = z.pair, p.pair
+def _combine(z: PrecisionValue, p: PrecisionValue) -> PrecisionValue:
+    """The exact M = Z * P - 1, enclosed."""
+    (zn, zd), (pn, pd) = z.pair, p.pair
 
-        def m_pair():
-            den = zd * pd
-            return zn * pn - den, den
+    def m_pair():
+        den = zd * pd
+        return zn * pn - den, den
 
-        # With Z, P >= 0, K = _ENCLOSE_BITS, a = floor(Z * 2**K) and
-        # b = floor(P * 2**K): a * b <= Z * P * 2**2K < (a + 1) * (b + 1).
-        # The pair itself is computed at each use rather than stored: a scan
-        # keeps Z and P for every limit, and M's pair would double the
-        # integers held.
-        a = (zn << _ENCLOSE_BITS) // zd
-        b = (pn << _ENCLOSE_BITS) // pd
-        one = 1 << 2 * _ENCLOSE_BITS
-        bounds = (a * b - one, (a + 1) * (b + 1) - one, one)
-        return PrecisionValue.deferred(m_pair, bounds)
-    hi, lo = dd_mul(z.approx, z.comp, p.approx, p.comp)
-    hi, lo = dd_add(hi, lo, -1.0, 0.0)
-    return PrecisionValue.compensated(hi, lo)
+    # With Z, P >= 0, K = _ENCLOSE_BITS, a = floor(Z * 2**K) and
+    # b = floor(P * 2**K): a * b <= Z * P * 2**2K < (a + 1) * (b + 1).
+    # The pair itself is computed at each use rather than stored: a scan
+    # keeps Z and P for every limit, and M's pair would double the
+    # integers held.
+    a = (zn << _ENCLOSE_BITS) // zd
+    b = (pn << _ENCLOSE_BITS) // pd
+    one = 1 << 2 * _ENCLOSE_BITS
+    bounds = (a * b - one, (a + 1) * (b + 1) - one, one)
+    return PrecisionValue.deferred(m_pair, bounds)
 
 
 def _make_result(
@@ -259,14 +255,18 @@ def _make_result(
     mode: str,
     z: PrecisionValue,
     p: PrecisionValue,
+    m: PrecisionValue,
     n0: int | None,
 ) -> ResidualResult:
-    m = _combine(z, p, mode)
     empty = n0 is None or x < n0
-    if not empty and not -1.0 < m.value < 0.0:
-        raise BoundViolationError(
-            f"{poly.label}: M({x}) = {m.value!r} escaped (-1, 0)"
-        )
+    value = m.value
+    if not empty and not -1.0 < value < 0.0:
+        if value == 0.0 and mode != EXACT:
+            raise OutOfRangeError(
+                f"{poly.label}: float M({x}) at s={s} underflows to 0.0: "
+                "|M| is below the binary64 range"
+            )
+        raise BoundViolationError(f"{poly.label}: M({x}) = {value!r} escaped (-1, 0)")
     return ResidualResult(
         label=poly.label,
         x=x,
@@ -284,13 +284,13 @@ def residual(
     """One (f, x, s) evaluation of the residual M = Z * P - 1."""
     z = zeta_partial(poly, x, s, mode)
     p = euler_product_partial(poly, x, s, mode)
-    return _make_result(poly, x, s, mode, z, p, _zp(poly, x, s, mode)[2])
+    return _make_result(poly, x, s, mode, z, p, *_zp(poly, x, s, mode)[2:])
 
 
 def residual_scan(
     poly: IntegerPolynomial, x_list, s=1, mode: str = EXACT
 ) -> list[ResidualResult]:
-    """Residuals at each limit in ascending x_list, extending Z and P
+    """Residuals at each limit in ascending x_list, extending Z, P and M
     incrementally instead of recomputing from scratch."""
     x_list = list(x_list)
     if any(b <= a for a, b in zip(x_list, x_list[1:])):
@@ -299,4 +299,4 @@ def residual_scan(
         return []
     n0 = _checked_start(poly, x_list, s, mode)
     zps = _zps(poly, x_list, s, mode, n0)
-    return [_make_result(poly, x, s, mode, z, p, n0) for x, (z, p) in zip(x_list, zps)]
+    return [_make_result(poly, x, s, mode, *zpm, n0) for x, zpm in zip(x_list, zps)]

@@ -6,15 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonsieve import KahanSum, CompensatedProduct, PrecisionValue
-from nonsieve.numerics import (
-    EXACT,
-    _fixed_point,
-    dd_add,
-    dd_mul,
-    format_float,
-    two_prod,
-    two_sum,
-)
+from nonsieve.numerics import _fixed_point, format_float, two_prod, two_sum
 from nonsieve.residual import _combine
 
 finite_floats = st.floats(
@@ -57,12 +49,6 @@ def test_compensated_product_tracks_error():
         acc.multiply(f)
         exact *= Fraction(f)
     assert abs(Fraction(acc.product) + Fraction(acc.error) - exact) < Fraction(1, 10**25)
-
-
-def test_dd_ops_round_trip():
-    hi, lo = dd_mul(1.0 / 3.0, 0.0, 3.0, 0.0)
-    s, e = dd_add(hi, lo, -1.0, 0.0)
-    assert abs(s + e) < 1e-16
 
 
 class TestPrecisionValue:
@@ -241,7 +227,7 @@ def test_float_decimals_match_a_half_even_oracle(pair):
 def enclosed_m(zn, zd, pn, pd):
     """M = Z * P - 1 as the residual builds it from Z = zn/zd, P = pn/pd,
     and a list that grows each time M's exact pair is formed."""
-    m = _combine(PrecisionValue.ratio(zn, zd), PrecisionValue.ratio(pn, pd), EXACT)
+    m = _combine(PrecisionValue.ratio(zn, zd), PrecisionValue.ratio(pn, pd))
     make_pair, formed = m._pair, []
 
     def counted():

@@ -3,12 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nonsieve import (
-    CompensatedProduct,
     ExactRationalUnsupportedError,
-    KahanSum,
     NotMonotoneError,
     OutOfRangeError,
     euler_product_partial,
@@ -18,11 +16,9 @@ from nonsieve import (
     prime_shell,
     residual,
     residual_scan,
-    start_index,
     zeta_partial,
 )
 from nonsieve.cli import run
-from nonsieve.residual import _float_zps
 
 # the module, which the package's `residual` function shadows
 residual_module = importlib.import_module("nonsieve.residual")
@@ -230,42 +226,65 @@ class TestBoundProperty:
         assert at_200[2] < at_200[3] < at_200[5] < at_200[7] < 0.0
 
 
-def reference_float_zps(poly, x_list, s, n0):
-    """(Z, P) pairs at each limit from the KahanSum and CompensatedProduct
-    methods, one call per term: what _float_zps writes out on locals."""
-    zacc = KahanSum(1.0 if poly(1) > 1 else 0.0)
-    pacc = CompensatedProduct()
-    pairs = []
-    n = 1
-    for x in x_list:
-        while n <= x:
-            v = poly(n)
-            t = 1.0 / v if s == 1 else float(v) ** -s
-            zacc.add(t)
-            if n0 is not None and n >= n0:
-                pacc.multiply(1.0 - t)
-            n += 1
-        pairs.append((zacc.as_pair(), pacc.as_pair()))
-    return pairs
+def m_gaps(poly, xs, s):
+    """(|exact M|, |float M - exact M|) at each limit in xs, each rounded to
+    a float once."""
+    gaps = []
+    for f, e in zip(residual_scan(poly, xs, s, "float"), residual_scan(poly, xs, s, "exact")):
+        exact = e.m_value.rational
+        gaps.append((float(abs(exact)), float(abs(Fraction(f.m_value.value) - exact))))
+    return gaps
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    coeffs=st.one_of(
-        st.lists(st.integers(0, 40), min_size=1, max_size=5).filter(lambda c: c[-1] > 0),
-        st.sampled_from([prime_shell(p).coefficients for p in range(1, 8)]),
+SMALL_COEFFS = st.one_of(
+    st.tuples(st.lists(st.integers(0, 40), min_size=1, max_size=4), st.integers(1, 40)).map(
+        lambda t: (*t[0], t[1])
     ),
-    s=st.sampled_from((1, 1.5, 2, 3.25)),
-    xs=st.lists(st.integers(1, 3000), min_size=1, max_size=5, unique=True).map(sorted),
+    st.sampled_from([prime_shell(p).coefficients for p in range(1, 8)]),
+    st.integers(6, 9).map(lambda k: (0,) * k + (1,)),  # n**k >= 2**53 from n = 456 down to 60
 )
-def test_inlined_float_kernel_is_bit_identical_to_the_accumulators(coeffs, s, xs):
-    poly = make_polynomial(coeffs)  # nonnegative coefficients or a shell: f >= 1 on n >= 1
-    n0 = start_index(poly, xs[-1])
-    got = [((z.approx, z.comp), (p.approx, p.comp)) for z, p in _float_zps(poly, xs, s, n0)]
-    want = reference_float_zps(poly, xs, s, n0)
-    assert [hex_floats(zp) for zp in got] == [hex_floats(zp) for zp in want]
+# f(n) >= 2**53 from n = 1: 1 - 1/f(n) rounds to 1.0 for every factor
+HUGE_COEFFS = st.tuples(st.integers(2**53, 2**62), st.integers(0, 40), st.integers(1, 40))
 
 
-def hex_floats(pairs):
-    """The bits of nested float pairs; unlike ==, this tells -0.0 from 0.0."""
-    return tuple(v.hex() for pair in pairs for v in pair)
+@settings(max_examples=100, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(SMALL_COEFFS | HUGE_COEFFS, st.sampled_from((1, 2, 3)), st.integers(1, 600)),
+        # at s = 40 a huge f(n0) would put M far below the normal range
+        st.tuples(SMALL_COEFFS, st.just(40), st.integers(1, 200)),
+    ),
+    data=st.data(),
+)
+def test_float_m_is_within_a_few_ulps_of_exact(case, data):
+    coeffs, s, x = case
+    xs = sorted(data.draw(st.sets(st.integers(1, x), max_size=3)) | {x})
+    for size, gap in m_gaps(make_polynomial(coeffs), xs, s):
+        assume(size == 0 or size >= 2.0**-1000)  # the normal range, or M = 0 at x < n0
+        assert gap <= 2.0**-50 * size
+
+
+def test_float_m_past_2_53_matches_exact():
+    # f(n) = n**6 passes 2**53 at n = 456; forming Z * P - 1 from two
+    # compensated values near 1 was 1.5e-11 off here
+    [(size, gap)] = m_gaps(make_polynomial([0, 0, 0, 0, 0, 0, 1]), [3000], 1)
+    assert gap <= 2.0**-50 * size
+
+
+def test_float_m_at_large_s_keeps_its_sign(capsys):
+    # M = -2.47e-68: Z * P - 1 from values within float error of 1 gave
+    # +1.57e-34 and exit 3
+    argv = ["residual", "--poly", "shell:3", "--x", "20", "--s", "40", "--float"]
+    assert run(argv) == 0
+    assert '"decimal": "-0.00000000000000"' in capsys.readouterr().out
+    assert all(gap <= 2.0**-50 * size for size, gap in m_gaps(prime_shell(3), [2, 20], 40))
+
+
+@pytest.mark.parametrize("s", ["200", "1e6"])
+def test_float_m_below_the_binary64_range_exits_2(s, capsys):
+    # M is about -f(2)**(-2 s) = -7**(-2 s), 0.0 in binary64 from s = 192 on
+    argv = ["residual", "--poly", "shell:3", "--x", "1000", "--s", s, "--float"]
+    assert run(argv) == 2
+    assert "below the binary64 range" in capsys.readouterr().err
+    with pytest.raises(OutOfRangeError, match="binary64"):
+        residual_scan(prime_shell(3), [1, 2], float(s), "float")
