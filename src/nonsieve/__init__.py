@@ -42,7 +42,6 @@ from .residual import (
     euler_product_partial,
     residual,
     residual_scan,
-    start_index,
     zeta_partial,
 )
 

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import reference
 from .errors import BoundViolationError, NonsieveError
@@ -34,16 +33,18 @@ CSV_COLUMNS = ("label", "x", "prime_count", "log_density_sum", "m_value", "mode"
 FIGURE_COLUMNS = ("label", "x", "m_value")
 
 
-@dataclass
 class RunConfig:
-    poly: str | None = None
-    powers: list[int] = field(default_factory=lambda: list(DEFAULT_POWERS))
-    limits: list[int] = field(default_factory=lambda: list(DEFAULT_LIMITS))
-    s: float = 1.0
-    precision: str = EXACT
-    max_depth: int | None = None  # None means full depth
-    format: str = "csv"
-    out: str | None = None
+    """One command's settings, filled in from the config file and flags."""
+
+    def __init__(self):
+        self.poly: str | None = None
+        self.powers: list[int] = list(DEFAULT_POWERS)
+        self.limits: list[int] = list(DEFAULT_LIMITS)
+        self.s: float = 1.0
+        self.precision: str = EXACT
+        self.max_depth: int | None = None  # None means full depth
+        self.format: str = "csv"
+        self.out: str | None = None
 
 
 def _s_value(cfg: RunConfig):

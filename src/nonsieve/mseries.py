@@ -13,7 +13,7 @@ instead of correcting it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -84,22 +84,16 @@ def sigma_chain(poly, x: int, depth: int, mode: str = EXACT) -> PrecisionValue:
     return _wrap(mode, total)
 
 
-@dataclass(frozen=True)
-class MSeriesTerm:
-    depth: int
-    sign: int
-    magnitude: PrecisionValue
+MSeriesTerm = namedtuple("MSeriesTerm", "depth sign magnitude")
 
 
-@dataclass(frozen=True)
-class MSeriesExpansion:
-    label: str
-    x: int
-    max_depth: int
-    terms: tuple[MSeriesTerm, ...]
-    partial_sum: PrecisionValue
-    residual_reference: PrecisionValue
-    deviation: PrecisionValue
+class MSeriesExpansion(namedtuple(
+    "MSeriesExpansion",
+    "label x max_depth terms partial_sum residual_reference deviation",
+)):
+    """The series' MSeriesTerm tuple, its partial sum and M(x) at s = 1."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -240,17 +234,15 @@ def expansion_oracle(poly, x: int) -> PrecisionValue:
     return PrecisionValue.exact(sum(terms, Fraction(0)) - 1)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    label: str
-    x: int
-    max_depth: int
-    mode: str
-    partial_sum: PrecisionValue
-    residual: PrecisionValue
-    deviation: PrecisionValue
-    verdict: str
-    cutoff_depth: int | None = None
+class ComparisonReport(namedtuple(
+    "ComparisonReport",
+    "label x max_depth mode partial_sum residual deviation verdict cutoff_depth",
+    defaults=(None,),
+)):
+    """The literal series against M(x); cutoff_depth is float mode's first
+    depth below 1e-16, or None."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import operator
 import sys
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Union
 
 from .errors import ExactRationalUnsupportedError, OutOfRangeError
 
@@ -115,7 +115,7 @@ class PrecisionValue:
         self._bounds = bounds
 
     @staticmethod
-    def exact(value: Union[Fraction, int]) -> "PrecisionValue":
+    def exact(value: Fraction | int) -> "PrecisionValue":
         r = Fraction(value)
         pv = PrecisionValue.ratio(r.numerator, r.denominator)
         pv._rational = r

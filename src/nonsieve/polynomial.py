@@ -6,7 +6,7 @@ so evaluation never overflows or rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, islice, repeat
 from math import comb
 
@@ -42,12 +42,10 @@ def _difference_stream(edge: list[int]):
     return stream
 
 
-@dataclass(frozen=True)
-class IntegerPolynomial:
+class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients label")):
     """Polynomial with integer coefficients, constant term first."""
 
-    coefficients: tuple[int, ...]
-    label: str
+    __slots__ = ()
 
     @property
     def degree(self) -> int:

@@ -12,7 +12,7 @@ available as the independent cross-check.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt, log
 
 from .errors import OutOfRangeError
@@ -97,13 +97,9 @@ def is_prime_trial_division(v: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeCensus:
-    label: str
-    x: int
-    prime_count: int
-    log_density_sum: float
-    skipped_units: int = 0
+PrimeCensus = namedtuple(
+    "PrimeCensus", "label x prime_count log_density_sum skipped_units", defaults=(0,)
+)
 
 
 def _struck(poly: IntegerPolynomial, x: int, bound: int) -> bytearray:

@@ -8,7 +8,7 @@ those cells are reported per-cell rather than forced (see README).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Row keys: "integers" or the shell power as an int.
 REFERENCE_M = {
@@ -53,10 +53,7 @@ REFERENCE_LOG_SUM = {
 LOG_SUM_TOLERANCE = 5e-4
 
 
-@dataclass(frozen=True)
-class CellCheck:
-    reference: object
-    matches: bool
+CellCheck = namedtuple("CellCheck", "reference matches")
 
 
 def check_m(row_key, x: int, m_string: str) -> CellCheck | None:

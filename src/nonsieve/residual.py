@@ -15,20 +15,12 @@ never cancel, rather than forming Z * P - 1 from two values near 1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice, repeat
 
 from .errors import BoundViolationError, OutOfRangeError
 from .numerics import EXACT, PrecisionValue, require_exactable_exponent, two_sum
 from .polynomial import IntegerPolynomial, validate_monotone
-
-
-def start_index(poly: IntegerPolynomial, x: int) -> int | None:
-    """Smallest n <= x with f(n) >= 2, or None if every value is 1."""
-    for n, v in enumerate(poly.values(1, x), 1):
-        if v >= 2:
-            return n
-    return None
 
 
 # The largest bit length of D = prod_{n <= x} f(n)**s that exact mode will
@@ -41,11 +33,15 @@ EXACT_BITS_MAX = 1 << 24
 def _checked_start(poly: IntegerPolynomial, x_list: list[int], s, mode: str) -> int | None:
     """Check the first of the ascending limits, f's monotonicity up to the
     last one, the exponent and, in exact mode, the size of D; return the
-    start index n0 at the last limit."""
+    start index n0 at the last limit x: the smallest n <= x with f(n) >= 2,
+    or None.  f(1) is the sum of the coefficients, and past the monotone
+    check f(2) > f(1) unless f is the constant 1, so n0 needs no walk.
+    """
     if x_list[0] < 1:
         raise ValueError(f"truncation limit must be >= 1, got {x_list[0]}")
     x = x_list[-1]
-    if x >= 2 and poly.coefficients != (1,):  # the constant 1 is exempt
+    unit = poly.coefficients == (1,)  # the constant 1, exempt from the check
+    if x >= 2 and not unit:
         validate_monotone(poly, x)
     require_exactable_exponent(s, mode)
     if mode == EXACT:
@@ -58,7 +54,9 @@ def _checked_start(poly: IntegerPolynomial, x_list: list[int], s, mode: str) -> 
                 f"up to {bits} bits, above the {EXACT_BITS_MAX}-bit cap; "
                 "use float mode"
             )
-    return start_index(poly, x)
+    if sum(poly.coefficients) >= 2:
+        return 1
+    return 2 if x >= 2 and not unit else None
 
 
 # Below this many terms a range is folded term by term: the products are
@@ -206,15 +204,14 @@ def euler_product_partial(
     return _zp(poly, x, s, mode)[1]
 
 
-@dataclass(frozen=True)
-class ResidualResult:
-    label: str
-    x: int
-    s: object
-    start_index: int | None
-    zeta_partial: PrecisionValue
-    product_partial: PrecisionValue
-    m_value: PrecisionValue
+class ResidualResult(namedtuple(
+    "ResidualResult",
+    "label x s start_index zeta_partial product_partial m_value",
+)):
+    """Z(x), P(x) and M(x) as PrecisionValues; start_index is n0, or None
+    while no factor has started."""
+
+    __slots__ = ()
 
     @property
     def empty_product(self) -> bool:
@@ -266,7 +263,10 @@ def _make_result(
                 f"{poly.label}: float M({x}) at s={s} underflows to 0.0: "
                 "|M| is below the binary64 range"
             )
-        raise BoundViolationError(f"{poly.label}: M({x}) = {value!r} escaped (-1, 0)")
+        # An exact |M| below 2**-1075 reads 0.0, so its pair decides the sign.
+        num, den = m.pair if value == 0.0 else (value, 1)
+        if not -den < num < 0:
+            raise BoundViolationError(f"{poly.label}: M({x}) = {value!r} escaped (-1, 0)")
     return ResidualResult(
         label=poly.label,
         x=x,

@@ -1,9 +1,11 @@
 import importlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from test_exact_oracle import oracle
 
 from nonsieve import (
     ExactRationalUnsupportedError,
@@ -280,11 +282,23 @@ def test_float_m_at_large_s_keeps_its_sign(capsys):
     assert all(gap <= 2.0**-50 * size for size, gap in m_gaps(prime_shell(3), [2, 20], 40))
 
 
-@pytest.mark.parametrize("s", ["200", "1e6"])
-def test_float_m_below_the_binary64_range_exits_2(s, capsys):
-    # M is about -f(2)**(-2 s) = -7**(-2 s), 0.0 in binary64 from s = 192 on
-    argv = ["residual", "--poly", "shell:3", "--x", "1000", "--s", s, "--float"]
-    assert run(argv) == 2
+@pytest.mark.parametrize("spec, x, s", [
+    pytest.param("shell:3", "1000", "200", id="200"),
+    pytest.param("shell:3", "1000", "1e6", id="1e6"),
+    pytest.param("shell:3", "5", "200", id="shell:3-x5-s200"),
+    pytest.param("integers", "2", "600", id="integers-x2-s600"),
+])
+def test_float_m_below_the_binary64_range_exits_2(spec, x, s, capsys):
+    # M is about -f(2)**(-2 s): -7**(-2 s) for shell:3, 0.0 in binary64 from
+    # s = 192 on, and -2**-1200 for the integers at s = 600
+    argv = ["residual", "--poly", spec, "--x", x, "--s", s]
+    assert run(argv + ["--float"]) == 2
     assert "below the binary64 range" in capsys.readouterr().err
+    poly = parse_poly_spec(spec)
     with pytest.raises(OutOfRangeError, match="binary64"):
-        residual_scan(prime_shell(3), [1, 2], float(s), "float")
+        residual_scan(poly, [1, 2], float(s), "float")
+    if x != "1000":  # exact mode reads the sign of M from its pair and exits 0
+        assert run(argv + ["--exact"]) == 0
+        m = oracle(poly, int(x), int(s))[2]
+        assert json.loads(capsys.readouterr().out)["m_value"] == {
+            "decimal": "-0.00000000000000", "rational": str(m)}
