@@ -34,7 +34,6 @@ from .primes import (
     census,
     census_scan,
     is_prime,
-    is_prime_trial_division,
     log_density_sum,
 )
 from .residual import (

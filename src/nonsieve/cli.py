@@ -243,7 +243,9 @@ def _apply_config(cfg: RunConfig, data: dict) -> None:
                 raise ValueError(f"config {key!r}: bad value {data[key]!r} ({exc})") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser; given a command, only its subparser gets the arguments,
+    and the other names stay for usage and errors."""
     parser = argparse.ArgumentParser(
         prog="nonsieve",
         description=(
@@ -254,6 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sp = sub.add_parser(name)
+        if command not in (None, name):
+            continue
         sp.add_argument("--poly", help='polynomial spec: "integers", "shell:p", or "1,-3,3"')
         sp.add_argument("--powers", help="comma-separated shell powers")
         sp.add_argument("--limits", help="comma-separated ascending truncation limits")
@@ -304,7 +308,8 @@ def _build_config(args) -> RunConfig:
 
 def run(argv=None, stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)

@@ -7,7 +7,7 @@ so evaluation never overflows or rounds.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import comb
 
 from .errors import NonIntegerValuedError, NonsieveError, NotMonotoneError
@@ -64,14 +64,18 @@ class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients label")):
         return value
 
     def values(self, lo: int, hi: int):
-        """Yield f(lo), f(lo + 1), ..., f(hi), each as __call__ returns it.
-
-        The walks over f(1..x) read this generator, and no list of the
-        outputs is built.  Each value is a Horner loop on locals until the
-        last d + 1 values prove f >= 1 for the rest (_difference_edge); from
-        there on the values come from the difference table, d C-level
-        additions per value, so they are exact and raise nothing.
+        """An iterator over f(lo), f(lo + 1), ..., f(hi), each as __call__
+        returns it, and no list of them.  Each value is a Horner loop on
+        locals until the last d + 1 values prove f >= 1 for the rest
+        (_difference_edge); from there on the values come from the
+        difference table, d C-level additions per value, so they are exact
+        and raise nothing.  The pieces are chained in C, and each error is
+        raised during iteration, at the n where f(n) would raise it.
         """
+        return chain.from_iterable(self._pieces(lo, hi))
+
+    def _pieces(self, lo: int, hi: int):
+        """values in pieces: (f(n),) per Horner value, then the table's stream."""
         if lo < 1:
             raise ValueError(f"polynomial domain is n >= 1, got {lo}")
         coeffs = self.coefficients[::-1]
@@ -84,7 +88,7 @@ class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients label")):
                 value = value * n + c
             if value < 1:
                 raise NonIntegerValuedError(f"{self.label}: f({n}) = {value} < 1")
-            yield value
+            yield (value,)
             if provable:
                 window.append(value)
                 if len(window) > d:
@@ -92,7 +96,7 @@ class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients label")):
                     edge = _difference_edge(window)
                     if edge is not None:
                         # The table runs from m = n - d: skip f(m..n), stop after f(hi).
-                        yield from islice(_difference_stream(edge), d + 1, hi - n + d + 1)
+                        yield islice(_difference_stream(edge), d + 1, hi - n + d + 1)
                         return
 
     def __str__(self) -> str:

@@ -5,8 +5,7 @@ witnesses are the first k primes, with k chosen by the size of the value:
 below the smallest strong pseudoprime to the first k prime bases, those k
 bases decide primality (Jaeschke, "On strong pseudoprimes to several
 bases", Math. Comp. 1993; Sorenson & Webster, "Strong pseudoprimes to
-twelve prime bases", Math. Comp. 2017, arXiv 2015).  Trial division stays
-available as the independent cross-check.
+twelve prime bases", Math. Comp. 2017, arXiv 2015).
 """
 
 from __future__ import annotations
@@ -79,21 +78,6 @@ def strong_probable_prime(v: int, bases) -> bool:
                 break
         else:
             return False
-    return True
-
-
-def is_prime_trial_division(v: int) -> bool:
-    """Plain trial division; the independent oracle for is_prime."""
-    if v < 2:
-        return False
-    if v % 2 == 0:
-        return v == 2
-    f = 3
-    limit = isqrt(v)
-    while f <= limit:
-        if v % f == 0:
-            return False
-        f += 2
     return True
 
 

@@ -119,13 +119,16 @@ def _float_zps(poly: IntegerPolynomial, x_list: list[int], s, n0: int | None):
 
     The walk carries u = Z - 1, Q = P and M itself, never Z * P - 1.  With
     t = 1/f(n)**s, each factor n >= n0 takes one step
-        p = -t * Q;  u += t;  M += p * u;  Q += p,
+        p = t * Q;  u += t;  M -= p * u;  Q -= p,
     since M_n - M_{n-1} = -t * Q_{n-1} * u_n.  Every term of each sum has
-    one sign, so nothing cancels: each sum is a Neumaier TwoSum, and each
-    product reads its factor's compensation too.  Before n0 every term is
-    1.0, P = 1 and M = u, and u is exactly 0 at n0 - 1, where M starts.
-    The terms come from C-level maps; each limit's segment is split at the
-    first factor, so the loops test nothing.
+    one sign, so nothing cancels, and each product reads its factor's
+    compensation.  The u and Q sums are Fast2Sum (Dekker 1971), whose error
+    term equals TwoSum's when the first operand is the larger: u >= t as f
+    increases, and Q > p as t <= 1/2.  M keeps TwoSum, as its first steps
+    can have |p * u| > |M|.  Before n0 every term is 1.0, P = 1 and M = u,
+    and u is exactly 0 at n0 - 1, where M starts.  The terms come from
+    C-level maps; each limit's segment is split at the first factor, so
+    the loops test nothing.
     """
     u, uc = (0.0 if n0 == 1 else -1.0), 0.0  # f(1) > 1 exactly when n0 = 1
     q, qc = 1.0, 0.0
@@ -140,19 +143,17 @@ def _float_zps(poly: IntegerPolynomial, x_list: list[int], s, n0: int | None):
     for x in x_list:
         u += sum(islice(terms, max(0, min(x, first - 1) - n)))  # 1.0s: exact
         for t in islice(terms, max(0, x - max(n, first - 1))):
-            p = -t * (q + qc)
-            z = u + t  # TwoSum(u, t)
-            bb = z - u
-            uc += (u - (z - bb)) + (t - bb)
+            p = t * (q + qc)
+            z = u + t  # Fast2Sum(u, t)
+            uc += t - (z - u)
             u = z
             w = p * (u + uc)
-            z = m + w
+            z = m - w  # TwoSum(m, -w)
             bb = z - m
-            mc += (m - (z - bb)) + (w - bb)
+            mc += (m - (z - bb)) - (w + bb)
             m = z
-            z = q + p
-            bb = z - q
-            qc += (q - (z - bb)) + (p - bb)
+            z = q - p  # Fast2Sum(q, -p)
+            qc += (q - z) - p
             q = z
         n = x
         zh, zl = two_sum(1.0, u)

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from oracles import is_prime_trial_division
 
 from nonsieve import (
     census,
@@ -17,7 +18,6 @@ from nonsieve import (
     expansion_oracle,
     integers,
     is_prime,
-    is_prime_trial_division,
     log_density_sum,
     make_polynomial,
     prime_shell,

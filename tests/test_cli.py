@@ -5,13 +5,36 @@ import warnings
 import pytest
 
 from nonsieve import census, euler_product_partial, integers, prime_shell, residual, sigma_chain
-from nonsieve.cli import run
+from nonsieve.cli import COMMANDS, build_parser, run
 
 
 def run_cli(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def exit_outcome(capsys, parse, argv):
+    """The exit code, stdout and stderr of a parse that ends the program."""
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exit_info.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["bogus"],
+    *([command, *rest] for command in COMMANDS for rest in (
+        ["--help"],
+        ["--bogus"],
+        ["--exact", "--float"],
+        ["--format", "xml"],
+    )),
+], ids=" ".join)
+def test_per_command_parser_prints_what_the_full_parser_prints(capsys, argv):
+    full = build_parser().parse_args
+    assert exit_outcome(capsys, run, argv) == exit_outcome(capsys, full, argv)
 
 
 class TestTable1:

@@ -170,7 +170,7 @@ class TestParsePolySpec:
 
 class TestValues:
     @pytest.mark.parametrize("poly", [integers(), prime_shell(1), prime_shell(3),
-                                      make_polynomial([3, -3, 1])])
+                                      make_polynomial([3, -3, 1]), make_polynomial([2, 0, 0, 0, 1])])
     def test_equals_calls(self, poly):
         for lo, hi in ((1, 1), (1, 50), (7, 40), (5, 4)):
             assert list(poly.values(lo, hi)) == list(map(poly, range(lo, hi + 1)))
@@ -186,8 +186,17 @@ class TestValues:
         assert str(from_values.value) == str(from_call.value) == "n^2-6n+7: f(2) = -1 < 1"
 
     def test_domain_starts_at_one(self):
-        with pytest.raises(ValueError):
-            next(integers().values(0, 3))
+        values = integers().values(0, 5)  # raises nothing yet
+        with pytest.raises(ValueError, match="n >= 1, got 0"):
+            next(values)
+
+    def test_negative_leading_coefficient_raises_where_the_call_does(self):
+        # it never switches to the table: f(30) = 1, f(31) = -30
+        poly = IntegerPolynomial((1, 30, -1), "1+30n-n^2")
+        values = poly.values(1, 40)
+        assert list(islice(values, 30)) == [poly(n) for n in range(1, 31)]
+        with pytest.raises(NonIntegerValuedError, match=r"^1\+30n-n\^2: f\(31\) = -30 < 1$"):
+            next(values)
 
 
 def prefix(values, take):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import is_prime_trial_division
 from test_exact_oracle import SPECS
 
 from nonsieve import (
@@ -14,7 +15,6 @@ from nonsieve import (
     census_scan,
     integers,
     is_prime,
-    is_prime_trial_division,
     log_density_sum,
     parse_poly_spec,
     prime_shell,

@@ -4,7 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from oracles import float_zps_twosum
 from test_exact_oracle import oracle
 
 from nonsieve import (
@@ -264,6 +265,28 @@ def test_float_m_is_within_a_few_ulps_of_exact(case, data):
     for size, gap in m_gaps(make_polynomial(coeffs), xs, s):
         assume(size == 0 or size >= 2.0**-1000)  # the normal range, or M = 0 at x < n0
         assert gap <= 2.0**-50 * size
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=SMALL_COEFFS,
+    s=st.sampled_from((1, 1.5, 2, 40)),
+    xs=st.lists(st.integers(1, 1200), min_size=1, max_size=4, unique=True).map(sorted),
+)
+@example(coeffs=(13, 1), s=1, xs=[1, 2, 3, 50])  # f = n + 13: Fast2Sum loses M's error at n = 2
+@example(coeffs=(0, 1, 1), s=2, xs=[1, 2, 30])  # f(1) = 2
+@example(coeffs=(0,) * 6 + (1,), s=1, xs=[1, 455, 456, 1200])  # n**6 passes 2**53 at 456
+@example(coeffs=(1,), s=1.5, xs=[1, 7])  # the constant 1: no factor
+def test_float_kernel_matches_the_twosum_loop_bit_for_bit(coeffs, s, xs):
+    """Fast2Sum where the recurrence orders the operands finds the same
+    error terms as TwoSum: every approx and comp of Z, P and M is equal."""
+    poly = make_polynomial(coeffs)
+    n0 = residual_module._checked_start(poly, xs, s, "float")
+    got = [tuple((v.approx.hex(), v.comp.hex()) for v in zpm)
+           for zpm in residual_module._float_zps(poly, xs, s, n0)]
+    want = [tuple((a.hex(), c.hex()) for a, c in zpm)
+            for zpm in float_zps_twosum(poly, xs, s, n0)]
+    assert got == want
 
 
 def test_float_m_past_2_53_matches_exact():
