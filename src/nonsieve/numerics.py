@@ -94,15 +94,15 @@ class PrecisionValue:
 
     An exact value is an integer pair (num, den) with den > 0, not
     necessarily in lowest terms, or a function that returns one on demand,
-    so that a value derived from others keeps no big integers of its own.
-    Such a value may also carry small integers (lo, hi, den) with
+    so that the pair is formed only when it is read.  Such a value may also
+    carry `bounds`, small integers (lo, hi, den) with
     lo / den <= value <= hi / den; `value` and `decimal_str` read their
-    result from them when both ends round alike (Ziv 1991), and form the
+    result from them when both ends round alike (Ziv 1991), and ask for the
     pair only when they do not.  `rational` reduces the pair to a Fraction
     on first access and keeps it; it is None in float mode.
     """
 
-    __slots__ = ("mode", "approx", "comp", "_pair", "_rational", "_bounds")
+    __slots__ = ("mode", "approx", "comp", "_pair", "_rational", "bounds")
 
     def __init__(
         self, mode: str, approx: float = 0.0, comp: float = 0.0, pair=None, bounds=None
@@ -112,7 +112,7 @@ class PrecisionValue:
         self.comp = comp
         self._pair = pair
         self._rational = None
-        self._bounds = bounds
+        self.bounds = bounds
 
     @staticmethod
     def exact(value: Fraction | int) -> "PrecisionValue":
@@ -130,8 +130,9 @@ class PrecisionValue:
     def deferred(
         make_pair: Callable[[], tuple[int, int]], bounds: tuple[int, int, int]
     ) -> "PrecisionValue":
-        """An exact value whose (num, den) pair is computed at each use,
-        enclosed by (lo, hi, den): lo / den <= value <= hi / den."""
+        """An exact value enclosed by (lo, hi, den): lo / den <= value <=
+        hi / den.  Each read of its (num, den) pair calls make_pair, which
+        may form the pair anew or return one it keeps."""
         return PrecisionValue(EXACT, pair=make_pair, bounds=bounds)
 
     @staticmethod
@@ -158,8 +159,8 @@ class PrecisionValue:
         result form an interval.  So when both ends of the enclosure give the
         same result, the value between them does too.
         """
-        if self._bounds is not None:
-            lo, hi, den = self._bounds
+        if self.bounds is not None:
+            lo, hi, den = self.bounds
             result = rnd(lo, den)
             if result == rnd(hi, den):
                 return result

@@ -4,12 +4,16 @@ M(x) = Z(x) * P(x) - 1 over an integer-valued polynomial's outputs.
 The product starts at the first n with f(n) >= 2: starting at a unit
 value would annihilate the whole product through the factor 1 - 1/1.
 
-Exact mode works on plain integers.  Before that start index n0 every
+Exact mode works on plain integers.  One walk over f(n0..x)**s in 128-bit
+fixed point encloses Z, P and so M, and the enclosures decide the floats
+and decimals read from them (Ziv 1991).  Before the start index n0 every
 f(n) is 1, so Z and P share the denominator D = prod_{n=n0}^{x} f(n)**s,
 and one binary-splitting tree over f(n0..x)**s gives both numerators
-(Haible & Papanikolaou 1998).  Nothing is reduced until a Fraction is
-asked for.  Float mode carries M itself through a recurrence whose sums
-never cancel, rather than forming Z * P - 1 from two values near 1.
+(Haible & Papanikolaou 1998).  It is built only when an exact pair is read
+or an enclosure cannot decide a rounding.  Nothing is reduced until a
+Fraction is asked for.  Float mode carries M itself through a recurrence
+whose sums never cancel, rather than forming Z * P - 1 from two values
+near 1.
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ from .numerics import EXACT, PrecisionValue, require_exactable_exponent, two_sum
 from .polynomial import IntegerPolynomial, validate_monotone
 
 
-# The largest bit length of D = prod_{n <= x} f(n)**s that exact mode will
-# form.  Cost grows about as bits**1.6: at 3.4e6 bits one exact residual took
-# 9 s (integers, x = 1000, s = 400; Python 3.11 on x86_64).  The bound below
+# The largest bit length of D = prod_{n <= x} f(n)**s that an exact pair may
+# need, judged up front also for tables, which read enclosures and form no D.
+# Cost grows about as bits**1.6: at 3.4e6 bits one exact residual took 9 s
+# (integers, x = 1000, s = 400; Python 3.11 on x86_64).  The bound below
 # stays under 2e5 bits for every test and benchmark command.
 EXACT_BITS_MAX = 1 << 24
 
@@ -97,21 +102,55 @@ def _units(x: int, n0: int | None) -> int:
     return x if n0 is None or x < n0 else 1
 
 
+# Bits after the binary point of the fixed-point walk that encloses Z and P.
+# After k factors each enclosure is k * 2**-128 wide, far narrower than the
+# 2**-53 spacing of M's floats or the 10**-14 of its decimals.
+_ENCLOSE_BITS = 128
+
+
 def _exact_zps(poly: IntegerPolynomial, x_list: list[int], s: int, n0: int | None):
-    """Exact (Z, P, M) at each ascending limit: one tree per segment between
-    consecutive limits, folded into the running (S, D, Q).  Z and P hold
-    the same D."""
-    lo = x_list[-1] + 1 if n0 is None else n0  # next n to fold in
-    values = poly.values(lo, x_list[-1])
-    sdq = (0, 1, 1)
-    for x in x_list:
-        if x >= lo:
-            sdq = _join(sdq, _split(values, lo, x + 1, s))
-            lo = x + 1
-        s_num, den, q = sdq
-        z = PrecisionValue.ratio(s_num + _units(x, n0) * den, den)
-        p = PrecisionValue.ratio(q, den)
-        yield z, p, _combine(z, p)
+    """Exact (Z, P, M) at each ascending limit, enclosed by one walk over
+    t = f(n)**s in fixed point, one = 2**_ENCLOSE_BITS.
+
+    Each factor takes z += one // t and p = floor(p * (1 - 1/t)), kept as
+    q = -p by q -= q // t.  Each step rounds down by less than one unit,
+    and P's earlier errors only shrink under factors below 1, so after k
+    factors Z * one lies in [u * one + z, u * one + z + k], u the units
+    before n0, and P * one in [p, p + k].  `pairs` builds the exact pairs
+    of all the limits at most once, when a pair is first read or an
+    enclosure cannot decide a rounding.
+    """
+    lo = x_list[-1] + 1 if n0 is None else n0  # the first n with a factor
+    one = 1 << _ENCLOSE_BITS
+
+    @functools.cache
+    def pairs():
+        """The exact (Z, P) pairs at every limit, from one tree per segment
+        between consecutive limits, folded into the running (S, D, Q).  Z
+        and P hold the same D."""
+        values = poly.values(lo, x_list[-1])
+        out, sdq, n = [], (0, 1, 1), lo  # n: the next n to fold in
+        for x in x_list:
+            if x >= n:
+                sdq = _join(sdq, _split(values, n, x + 1, s))
+                n = x + 1
+            s_num, den, q = sdq
+            out.append(((s_num + _units(x, n0) * den, den), (q, den)))
+        return out
+
+    terms = poly.values(lo, x_list[-1])
+    if s != 1:
+        terms = map(pow, terms, repeat(s))
+    z, q, k = 0, -one, 0  # k: the factors walked
+    for i, x in enumerate(x_list):
+        for t in islice(terms, max(0, x + 1 - lo - k)):
+            z += one // t
+            q -= q // t
+        k = max(k, x + 1 - lo)
+        zlo = _units(x, n0) * one + z
+        zv = PrecisionValue.deferred(lambda i=i: pairs()[i][0], (zlo, zlo + k, one))
+        pv = PrecisionValue.deferred(lambda i=i: pairs()[i][1], (-q, k - q, one))
+        yield zv, pv, _combine(zv, pv)
 
 
 def _float_zps(poly: IntegerPolynomial, x_list: list[int], s, n0: int | None):
@@ -220,30 +259,32 @@ class ResidualResult(namedtuple(
         return self.start_index is None
 
 
-# Bits after the binary point of the truncated Z and P that enclose an exact
-# M.  The enclosure is about (Z + P) * 2**-128 wide, far narrower than the
-# 2**-53 spacing of M's floats or the 10**-14 of its decimals.
-_ENCLOSE_BITS = 128
+def _enclosure(v: PrecisionValue) -> tuple[int, int]:
+    """(lo, hi) with lo <= v * 2**K <= hi, K = _ENCLOSE_BITS: the walk's
+    own bounds, or floor(v * 2**K) and one more from a plain pair."""
+    if v.bounds is not None:
+        return v.bounds[:2]
+    num, den = v.pair
+    a = (num << _ENCLOSE_BITS) // den
+    return a, a + 1
 
 
 def _combine(z: PrecisionValue, p: PrecisionValue) -> PrecisionValue:
     """The exact M = Z * P - 1, enclosed."""
-    (zn, zd), (pn, pd) = z.pair, p.pair
 
     def m_pair():
+        (zn, zd), (pn, pd) = z.pair, p.pair
         den = zd * pd
         return zn * pn - den, den
 
-    # With Z, P >= 0, K = _ENCLOSE_BITS, a = floor(Z * 2**K) and
-    # b = floor(P * 2**K): a * b <= Z * P * 2**2K < (a + 1) * (b + 1).
-    # The pair itself is computed at each use rather than stored: a scan
-    # keeps Z and P for every limit, and M's pair would double the
-    # integers held.
-    a = (zn << _ENCLOSE_BITS) // zd
-    b = (pn << _ENCLOSE_BITS) // pd
+    # With Z, P >= 0 enclosed by [a, a2] and [b, b2] at scale 2**K,
+    # a * b <= Z * P * 2**2K <= a2 * b2: two products of 2K-bit integers,
+    # and no big division.  The pair itself is formed at each use rather
+    # than stored: a scan keeps Z and P for every limit, and M's pair would
+    # double the integers held.
+    (a, a2), (b, b2) = _enclosure(z), _enclosure(p)
     one = 1 << 2 * _ENCLOSE_BITS
-    bounds = (a * b - one, (a + 1) * (b + 1) - one, one)
-    return PrecisionValue.deferred(m_pair, bounds)
+    return PrecisionValue.deferred(m_pair, (a * b - one, a2 * b2 - one, one))
 
 
 def _make_result(

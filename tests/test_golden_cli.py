@@ -43,6 +43,15 @@ CASES = {
         "table2", "--precision", "float", "--powers", "2,3,5", "--limits", "100,200,5000",
     ),
     "table2_exact_x2500": ("table2", "--powers", "2,3", "--limits", "1000,2500"),
+    # exact cells at sizes where a binary-splitting tree per scan took most
+    # of the time; all three files were written while each scan built one
+    "table2_exact_x1000": ("table2", "--powers", "2,3,5,7", "--limits", "100,200,500,1000"),
+    "figure_data_exact_x60000": (
+        "figure-data", "--powers", "7", "--limits", "10000,60000", "--exact",
+    ),
+    "figure_data_exact_s3": (
+        "figure-data", "--powers", "3,5", "--limits", "500,5000", "--s", "3", "--exact",
+    ),
     "figure_data_float_s15": (
         "figure-data", "--powers", "2", "--limits", "10,50", "--s", "1.5", "--float",
     ),

@@ -1,7 +1,9 @@
 import importlib
+import io
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -22,9 +24,12 @@ from nonsieve import (
     zeta_partial,
 )
 from nonsieve.cli import run
+from nonsieve.numerics import PrecisionValue
 
 # the module, which the package's `residual` function shadows
 residual_module = importlib.import_module("nonsieve.residual")
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def harmonic(x):
@@ -325,3 +330,98 @@ def test_float_m_below_the_binary64_range_exits_2(spec, x, s, capsys):
         m = oracle(poly, int(x), int(s))[2]
         assert json.loads(capsys.readouterr().out)["m_value"] == {
             "decimal": "-0.00000000000000", "rational": str(m)}
+
+
+# Admissible polynomials for the exact walk: the shells (shell:1 is the
+# constant 1), and nonnegative coefficient lists with f(1) > 1, so n0 = 1.
+WALK_POLYS = st.one_of(
+    st.integers(1, 7).map(prime_shell),
+    st.lists(st.integers(0, 4), min_size=2, max_size=4)
+    .filter(lambda c: c[-1] > 0 and sum(c) > 1)
+    .map(make_polynomial),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    poly=WALK_POLYS,
+    s=st.sampled_from((1, 2, 3, 40)),
+    xs=st.lists(st.integers(1, 25), min_size=1, max_size=5, unique=True).map(sorted),
+)
+def test_exact_enclosures_hold_the_exact_values(poly, s, xs):
+    n0 = residual_module._checked_start(poly, xs, s, "exact")
+    for x, zpm in zip(xs, residual_module._zps(poly, xs, s, "exact", n0)):
+        z, p, m, _, _ = oracle(poly, x, s)
+        walked = 0 if n0 is None else max(0, x + 1 - n0)  # factors walked
+        for v, exact in zip(zpm, (z, p, m)):
+            lo, hi, den = v.bounds
+            assert Fraction(lo, den) <= exact <= Fraction(hi, den)
+            plain = PrecisionValue.ratio(*v.pair)
+            assert v.value.hex() == plain.value.hex()
+            assert v.decimal_str(14) == plain.decimal_str(14)
+        for v in zpm[:2]:
+            lo, hi, _ = v.bounds
+            assert 0 <= hi - lo <= walked
+
+
+class TestLazyTree:
+    """Tables and figures read Z, P and M from the walk's enclosures and
+    never form the binary-splitting tree; a read exact pair forms it once
+    per scan."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        calls = []
+        split = residual_module._split
+
+        def counted(values, lo, hi, s):
+            calls.append((lo, hi))
+            return split(values, lo, hi, s)
+
+        monkeypatch.setattr(residual_module, "_split", counted)
+        residual_module._zp.cache_clear()  # a cached result may hold its pairs
+        monkeypatch.delenv("NONSIEVE_PRECISION", raising=False)
+        return calls
+
+    @pytest.mark.parametrize("argv, golden", [
+        (("table1",), "readme_table1"),
+        (("table2", "--powers", "2,3,5,7", "--limits", "100,200,500,1000"),
+         "table2_exact_x1000"),
+        (("figure-data", "--powers", "2,3", "--limits", "1,2,7,40,41"),
+         "figure_data_exact_csv"),
+    ])
+    def test_tables_form_no_tree(self, splits, argv, golden):
+        out = io.StringIO()
+        assert run([*argv, "--exact"], stdout=out) == 0
+        assert splits == []
+        assert out.getvalue() == (GOLDEN / f"{golden}.txt").read_text(encoding="utf-8")
+
+    def test_one_tree_per_scan(self, splits):
+        xs = [3, 10, 11, 40, 90]
+        scan = residual_scan(prime_shell(3), xs, 1, "exact")
+        assert splits == []
+        for res in scan:
+            values = (res.zeta_partial, res.product_partial, res.m_value)
+            for v, exact in zip(values, oracle(prime_shell(3), res.x, 1)):
+                assert Fraction(*v.pair) == exact
+        # one tree: each range split once, its leaves covering n0 = 2 .. 90
+        leaves = sorted((lo, hi) for lo, hi in splits if hi - lo <= residual_module._LEAF)
+        assert len(set(splits)) == len(splits)
+        assert [n for lo, hi in leaves for n in range(lo, hi)] == list(range(2, 91))
+
+    def test_an_undecided_enclosure_falls_back_to_the_pair(self, splits):
+        # M = -2**-1200: the enclosure straddles 0, so the bound check reads
+        # M's sign from the pair before any rational is asked for
+        residual(integers(), 2, 600, "exact")
+        assert splits != []
+        out = io.StringIO()
+        argv = ["residual", "--poly", "integers", "--x", "2", "--s", "600", "--exact"]
+        assert run(argv, stdout=out) == 0
+        z, p, m, _, _ = oracle(integers(), 2, 600)
+        assert json.loads(out.getvalue()) == {
+            "label": "integers", "x": 2, "s": 600.0, "mode": "exact", "start_index": 2,
+            "zeta_partial": {"decimal": "1.00000000000000", "rational": str(z)},
+            "product_partial": {"decimal": "1.00000000000000", "rational": str(p)},
+            "m_value": {"decimal": "-0.00000000000000", "rational": str(m)},
+            "empty_product": False,
+        }
