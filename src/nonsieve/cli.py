@@ -1,7 +1,8 @@
 """Command-line front end: table reproduction, figure data, comparisons.
 
 Exit codes: 0 success (a SYSTEMATIC_GAP verdict is a finding, not a
-failure), 1 I/O error, 2 invalid input, 3 internal bound violation.
+failure), 1 I/O error, 2 invalid input, including a limit too large for
+memory, 3 internal bound violation.
 """
 
 from __future__ import annotations
@@ -325,6 +326,9 @@ def run(argv=None, stdout=None) -> int:
         return 3
     except (NonsieveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # e.g. the census's sieve arrays for a huge limit
+        print("error: out of memory; try smaller limits", file=sys.stderr)
         return 2
     except OSError as exc:  # the config file or the output could not be opened
         print(f"error: {exc}", file=sys.stderr)

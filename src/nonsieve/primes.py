@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
+from functools import partial
+from itertools import compress
 from math import isqrt, log
 
 from .errors import OutOfRangeError
@@ -86,23 +88,91 @@ PrimeCensus = namedtuple(
 )
 
 
-def _struck(poly: IntegerPolynomial, x: int, bound: int) -> bytearray:
-    """struck[n] = 1 for each n <= x where some prime q <= bound divides f(n).
+def _primes_to(bound: int):
+    """The primes q <= bound, from a bytearray sieve of Eratosthenes."""
+    flags = bytearray([1]) * (bound + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, isqrt(bound) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
+    return compress(range(bound + 1), flags)
 
-    The roots of f mod q are the r in 1..q with q | f(r), read from f(1..bound)
-    by Horner without the f(n) >= 1 check, so errors still come from the walk.
-    """
+
+def _sqrt_mod(a: int, q: int) -> int | None:
+    """A square root of a mod the odd prime q, 0 < a < q, or None when a is
+    a non-residue (Euler's criterion).  For q = 3 mod 4 it is one pow, whose
+    square is a times Euler's symbol; else Tonelli-Shanks (Cohen, A Course
+    in Computational Algebraic Number Theory, Alg. 1.5.1)."""
+    if q % 4 == 3:
+        x = pow(a, (q + 1) // 4, q)
+        return x if x * x % q == a else None
+    if pow(a, (q - 1) // 2, q) != 1:
+        return None
+    e, odd = 0, q - 1
+    while odd % 2 == 0:
+        odd //= 2
+        e += 1
+    z = 2
+    while pow(z, (q - 1) // 2, q) == 1:
+        z += 1
+    y = pow(z, odd, q)  # generates the Sylow 2-subgroup
+    x = pow(a, (odd + 1) // 2, q)
+    b = pow(a, odd, q)  # x * x = a * b, and b's order is a power of two
+    while b != 1:
+        m, t = 0, b
+        while t != 1:
+            t = t * t % q
+            m += 1
+        t = pow(y, 1 << (e - m - 1), q)
+        y = t * t % q
+        e = m
+        x = x * t % q
+        b = b * y % q
+    return x
+
+
+def _roots_mod(c0: int, c1: int, c2: int, q: int):
+    """The r in 0..q-1 with q | c0 + c1 r + c2 r**2, for a prime q, in
+    closed form.  For q = 2, r**2 = r; when q divides c2, one modular
+    inverse, and every residue is a root when q divides all three
+    coefficients; else the quadratic formula with _sqrt_mod."""
+    if q == 2:
+        return tuple(r for r in (0, 1) if (c0 + (c1 + c2) * r) % 2 == 0)
+    a = c2 % q
+    if a == 0:
+        b = c1 % q
+        if b == 0:
+            return range(q) if c0 % q == 0 else ()
+        return (-c0 * pow(b, -1, q) % q,)
+    d = (c1 * c1 - 4 * c0 * c2) % q
+    if d == 0:
+        return (-c1 * pow(2 * a, -1, q) % q,)
+    s = _sqrt_mod(d, q)
+    if s is None:
+        return ()
+    inv = pow(2 * a, -1, q)
+    return ((s - c1) * inv % q, (-s - c1) * inv % q)
+
+
+def _scanned_roots(poly: IntegerPolynomial, bound: int):
+    """q -> the r in 1..q with q | f(r), read from f(1..bound) by Horner
+    without the f(n) >= 1 check, so errors still come from the walk."""
     coeffs = poly.coefficients[::-1]
     low = [0] * (bound + 1)
     for n in range(1, bound + 1):
         for c in coeffs:
             low[n] = low[n] * n + c
+    return lambda q: [r for r in range(1, q + 1) if low[r] % q == 0]
+
+
+def _struck(x: int, bound: int, roots) -> bytearray:
+    """struck[n] = 1 for each n <= x where some prime q <= bound divides
+    f(n), given roots(q), the roots of f mod q."""
     struck = bytearray(x + 1)
-    for q in range(2, bound + 1):
-        if all(q % p for p in range(2, isqrt(q) + 1)):
-            for r in range(1, q + 1):
-                if low[r] % q == 0:
-                    struck[r::q] = b"\1" * len(range(r, x + 1, q))
+    for q in _primes_to(bound):
+        for r in roots(q):
+            start = r or q
+            struck[start::q] = b"\1" * len(range(start, x + 1, q))
     return struck
 
 
@@ -110,13 +180,18 @@ def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
     """Prime count and log-density sum at each ascending limit, from one
     walk over f(1..max(x_list)).
 
-    Primality comes from a sieve by the roots of f mod each prime
-    q <= B = max(37, min(1000, isqrt(4 X))), X the largest limit (Crandall &
-    Pomerance, Prime Numbers, sec. 3.2).  A value v <= B or v >= 2**64 goes
-    to is_prime (OutOfRangeError at the first f(n) >= 2**64).  Any other v is
-    composite when struck, prime below (B + 1)**2, and else goes straight to
+    Primality comes from a sieve by the roots of f mod each prime q <= B
+    (Crandall & Pomerance, Prime Numbers, sec. 3.2), X the largest limit.
+    For f of degree <= 2 with a positive leading coefficient, every f(n)
+    with n <= X is at most T = max(f(1), f(X)), so B = max(B1, min(isqrt(T),
+    4 X)) with B1 = max(37, min(1000, isqrt(4 X))), and the roots come in
+    closed form (_roots_mod).  Any other f takes B = B1 and reads its roots
+    from f(1..B).  A value v <= B or v >= 2**64 goes to is_prime
+    (OutOfRangeError at the first f(n) >= 2**64).  Any other v is composite
+    when struck, prime below (B + 1)**2, and else goes straight to
     Miller-Rabin: every prime <= 37 is sieved, so is_prime's trial division
-    would pass it.
+    would pass it.  So for degree <= 2 Miller-Rabin runs only where the 4 X
+    cap binds.
     Unit outputs f(n) = 1 with n >= 2 are left out of the log sum and counted
     in skipped_units.
     The log sum is KahanSum.add written out on locals, operation for
@@ -129,13 +204,21 @@ def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
         return []
     if x_list[0] < 1:
         raise ValueError(f"truncation limit must be >= 1, got {x_list[0]}")
-    bound = max(_SMALL_PRIMES[-1], min(1000, isqrt(4 * x_list[-1])))
-    struck = _struck(poly, x_list[-1], bound)
+    x_max = x_list[-1]
+    bound = max(_SMALL_PRIMES[-1], min(1000, isqrt(4 * x_max)))
+    coeffs = poly.coefficients
+    if len(coeffs) <= 3 and coeffs[-1] > 0:
+        c0, c1, c2 = coeffs + (0,) * (3 - len(coeffs))
+        top = max(c0 + c1 + c2, c0 + (c1 + c2 * x_max) * x_max, 0)  # Horner, never raises
+        bound = max(bound, min(isqrt(top), 4 * x_max))
+        struck = _struck(x_max, bound, partial(_roots_mod, c0, c1, c2))
+    else:
+        struck = _struck(x_max, bound, _scanned_roots(poly, bound))
     square = (bound + 1) ** 2
     results = []
     count = skipped = 0
     total = comp = 0.0
-    values = poly.values(1, x_list[-1])
+    values = poly.values(1, x_max)
     n = 0  # the last n walked
     for x in x_list:
         for n, v in zip(range(n + 1, x + 1), values):

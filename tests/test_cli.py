@@ -270,6 +270,15 @@ class TestBadInputExitCodes:
         cfg = self.config(tmp_path, poly=5, limits=[3])
         assert self.run_err(capsys, "residual", "--config", cfg) == 2
 
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        # table2 --limits 99999999999 runs out of memory in the census's
+        # sieve; a stand-in raises instead of allocating for real
+        def census_scan(poly, x_list):
+            raise MemoryError
+
+        monkeypatch.setattr("nonsieve.cli.census_scan", census_scan)
+        assert self.run_err(capsys, "table2", "--powers", "2", "--limits", "99999999999") == 2
+
     def test_missing_config_file_is_an_io_error(self, capsys, tmp_path):
         missing = str(tmp_path / "absent.json")
         assert self.run_err(capsys, "table1", "--config", missing) == 1

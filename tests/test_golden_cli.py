@@ -43,6 +43,11 @@ CASES = {
         "table2", "--precision", "float", "--powers", "2,3,5", "--limits", "100,200,5000",
     ),
     "table2_exact_x2500": ("table2", "--powers", "2,3", "--limits", "1000,2500"),
+    # shell:3 to x = 100000 sieves to isqrt(f(X)) = 173204 with no
+    # Miller-Rabin; the file was written while the census sieved to 632
+    "table2_float_x100000": (
+        "table2", "--precision", "float", "--powers", "2,3", "--limits", "1000,100000",
+    ),
     # exact cells at sizes where a binary-splitting tree per scan took most
     # of the time; all three files were written while each scan built one
     "table2_exact_x1000": ("table2", "--powers", "2,3,5,7", "--limits", "100,200,500,1000"),

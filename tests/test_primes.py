@@ -20,7 +20,8 @@ from nonsieve import (
     prime_shell,
     residual_scan,
 )
-from nonsieve.primes import PrimeCensus, bases_for, strong_probable_prime
+from nonsieve import primes
+from nonsieve.primes import PrimeCensus, _roots_mod, bases_for, strong_probable_prime
 
 FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -270,21 +271,33 @@ def census_outcome(scan, poly, xs):
 
 
 # The sieve bound is B = max(37, min(1000, isqrt(4 X))) for the largest
-# limit X; values at most B go to is_prime, struck values are composite,
-# survivors below (B + 1)**2 are prime and the rest go to Miller-Rabin.
+# limit X.  An f of degree <= 2 with a positive leading coefficient sieves to
+# B2 = max(B, min(isqrt(max(f(1), f(X))), 4 X)) instead.  Values at most the
+# bound go to is_prime, struck values are composite, survivors below
+# (bound + 1)**2 are prime and the rest go to Miller-Rabin.
 CENSUS_CASES = (
     ("integers", [1, 2, 3, 36]),  # X < 37: B = 37 > X
     ("integers", [36, 37, 38, 100]),  # f(n) = n runs over every sieving prime
     ("integers", [37, 360, 361, 362]),  # B leaves its floor at X = 361
     ("integers", [999, 1000, 1001, 250001]),  # B = 1000 from X = 250000
-    ("1,0,1", [6, 7, 37, 38, 39, 60]),  # f(6) = 37 = B, f(38) = 1445 > 38**2
-    ("shell:3", [5, 6, 37, 38, 1000]),  # B = 63: 61 < B < 91, 3997 < 64**2 < 4219
+    ("1,0,1", [6, 7, 37, 38, 39, 60]),  # B2 = isqrt(f(60)) = 60: f(7) = 50 < B2 < f(8)
+    ("1,0,1", [9, 10, 11, 101]),  # B2 = isqrt(f(101)) = 101 = f(10)
+    ("shell:3", [5, 6, 37, 38, 1000]),  # B2 = 1731: f(24) = 1657 < B2 < f(25) = 1801
     ("shell:2", [1, 2, 300]),
     ("1", [1, 2, 40]),  # units
     ("7", [1, 50]),  # the sieving prime 7 at every n
-    ("1409", [50]),  # prime, between B and (B + 1)**2
+    ("1409", [50]),  # prime, between B2 = 37 and (B2 + 1)**2
     ("1369", [50]),  # 37**2, struck
-    ("2021", [50]),  # 43 * 47 > 38**2: no factor <= B, so Miller-Rabin decides
+    ("2021", [50]),  # 43 * 47: B2 = isqrt(2021) = 44 strikes it, B = 37 would not
+    ("1,0,1680", [1, 2, 10]),  # B2 = 4 X = 40 < isqrt(f(10)): f(1) = 41**2 = (B2 + 1)**2
+    ("1,0,1680", [10, 300, 1000]),  # the 4 X cap binds, and Miller-Rabin finds primes
+    ("1,1,6", [1, 2, 50, 400]),  # 2 and 3 divide the leading coefficient
+    ("1,2,1", [1, 2, 100, 500]),  # (n + 1)**2: a double root mod every q
+    ("2,3,1", [1, 2, 100, 500]),  # (n + 1)(n + 2)
+    ("2,2,2", [1, 2, 60]),  # every residue is a root mod 2
+    ("10,-5,1", [1, 2, 3]),  # f(1) = 6 > f(2) = f(3) = 4
+    ("10,-5,1", [1, 2, 3, 4, 5, 200]),  # convex, not monotone
+    ("10100,-200,1", [1, 2, 100, 150]),  # B2 = isqrt(f(1)) = 99 > isqrt(f(150)) = 50
     ("shell:11", [10, 66, 67, 200]),  # f(67) >= 2**64: OutOfRangeError
 )
 
@@ -314,6 +327,56 @@ def test_sieved_census_raises_where_the_walk_drops_below_one():
 )
 def test_sieved_census_matches_the_oracle_on_random_polynomials(poly, xs):
     assert census_outcome(census_scan, poly, xs) == census_outcome(census_oracle, poly, xs)
+
+
+PRIMES_BELOW_5000 = [q for q in range(2, 5000) if is_prime_trial_division(q)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    coeffs=st.tuples(*[st.integers(-10**6, 10**6)] * 3),
+    shape=st.sampled_from(["quadratic", "linear", "constant", "q | c2", "q | all"]),
+    q=st.one_of(  # q = 1 (mod 8) takes Tonelli-Shanks's non-residue search
+        st.sampled_from(PRIMES_BELOW_5000),
+        st.sampled_from([q for q in PRIMES_BELOW_5000 if q % 8 == 1]),
+    ),
+)
+def test_closed_form_roots_equal_brute_force(coeffs, shape, q):
+    c0, c1, c2 = coeffs
+    if shape in ("linear", "constant"):
+        c2 = 0
+    if shape == "constant":
+        c1 = 0
+    if shape in ("q | c2", "q | all"):
+        c2 *= q
+    if shape == "q | all":
+        c0, c1 = c0 * q, c1 * q
+    roots = sorted(_roots_mod(c0, c1, c2, q))
+    assert roots == [r for r in range(q) if (c0 + c1 * r + c2 * r * r) % q == 0]
+
+
+def test_degree_two_census_needs_no_miller_rabin(monkeypatch):
+    # Values up to the sieve bound go to is_prime, which runs its own
+    # Miller-Rabin; trial division stands in for it, so the count is the
+    # walk's own calls, on the values above the bound.
+    xs = [100, 200, 9951, 29976]
+    polys = [parse_poly_spec(spec) for spec in ("integers", "shell:2", "shell:3")]
+    expected = [census_oracle(poly, xs) for poly in polys]
+    calls = []
+
+    def counted(v, bases):
+        calls.append(v)
+        return strong_probable_prime(v, bases)
+
+    monkeypatch.setattr(primes, "strong_probable_prime", counted)
+    monkeypatch.setattr(primes, "is_prime", is_prime_trial_division)
+    for poly, rows in zip(polys, expected):
+        assert census_scan(poly, xs) == rows
+        assert calls == [], poly.label
+    census_scan(parse_poly_spec("10100,-200,1"), [150])  # the bound is from f(1) > f(150)
+    assert calls == []
+    census_scan(prime_shell(5), [5980])  # degree 4 keeps B = 154 and Miller-Rabin
+    assert calls
 
 
 class TestWitnessTable:
