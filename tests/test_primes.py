@@ -281,7 +281,6 @@ CENSUS_CASES = (
     ("integers", [37, 360, 361, 362]),  # B leaves its floor at X = 361
     ("integers", [999, 1000, 1001, 250001]),  # B = 1000 from X = 250000
     ("1,0,1", [6, 7, 37, 38, 39, 60]),  # B2 = isqrt(f(60)) = 60: f(7) = 50 < B2 < f(8)
-    ("1,0,1", [9, 10, 11, 101]),  # B2 = isqrt(f(101)) = 101 = f(10)
     ("shell:3", [5, 6, 37, 38, 1000]),  # B2 = 1731: f(24) = 1657 < B2 < f(25) = 1801
     ("shell:2", [1, 2, 300]),
     ("1", [1, 2, 40]),  # units
@@ -289,6 +288,8 @@ CENSUS_CASES = (
     ("1409", [50]),  # prime, between B2 = 37 and (B2 + 1)**2
     ("1369", [50]),  # 37**2, struck
     ("2021", [50]),  # 43 * 47: B2 = isqrt(2021) = 44 strikes it, B = 37 would not
+    ("shell:11", [10, 66, 67, 200]),  # f(67) >= 2**64: OutOfRangeError
+    ("1,0,1", [9, 10, 11, 101]),  # B2 = isqrt(f(101)) = 101 = f(10)
     ("1,0,1680", [1, 2, 10]),  # B2 = 4 X = 40 < isqrt(f(10)): f(1) = 41**2 = (B2 + 1)**2
     ("1,0,1680", [10, 300, 1000]),  # the 4 X cap binds, and Miller-Rabin finds primes
     ("1,1,6", [1, 2, 50, 400]),  # 2 and 3 divide the leading coefficient
@@ -298,7 +299,6 @@ CENSUS_CASES = (
     ("10,-5,1", [1, 2, 3]),  # f(1) = 6 > f(2) = f(3) = 4
     ("10,-5,1", [1, 2, 3, 4, 5, 200]),  # convex, not monotone
     ("10100,-200,1", [1, 2, 100, 150]),  # B2 = isqrt(f(1)) = 99 > isqrt(f(150)) = 50
-    ("shell:11", [10, 66, 67, 200]),  # f(67) >= 2**64: OutOfRangeError
 )
 
 
