@@ -49,8 +49,8 @@ class RunConfig:
 
 
 def _s_value(cfg: RunConfig):
-    # keep exact-mode friendly integer s when possible
-    return int(cfg.s) if float(cfg.s) == int(cfg.s) else float(cfg.s)
+    # exact mode reads an int; from 2**53 on its size cap refuses s anyway
+    return int(cfg.s) if cfg.s.is_integer() and cfg.s < 2**53 else cfg.s
 
 
 def _table_rows(poly: IntegerPolynomial, row_key, cfg: RunConfig) -> list[dict]:
@@ -236,6 +236,10 @@ CONFIG_KEYS = {
 
 
 def _apply_config(cfg: RunConfig, data: dict) -> None:
+    unknown = ", ".join(map(repr, sorted(set(data) - set(CONFIG_KEYS))))
+    if unknown:
+        raise ValueError(f"config has unknown keys: {unknown}; "
+                         f"valid keys: {', '.join(CONFIG_KEYS)}")
     for key, convert in CONFIG_KEYS.items():
         if key in data:
             try:

@@ -56,8 +56,9 @@ def sigma_chain(poly, x: int, depth: int, mode: str = EXACT) -> PrecisionValue:
     """Unsigned magnitude of the depth-d term, by backward suffix DP.
 
     E_m(t) counts (weighted) strictly increasing chains of length m inside
-    [t, x]: E_0 = 1, E_m(t) = E_m(t+1) + a_t * E_{m-1}(t+1).  The result is
-    sum_i a_i * sum_{j>=i} a_j * E_{d-2}(j+1), O(x * d) operations.
+    [t, x]: E_0 = 1, E_m(t) = E_m(t+1) + a_t * E_{m-1}(t+1).  A depth-d
+    chain is a_i times a chain of length d - 1 inside [i, x], so the result
+    is sum_i a_i * E_{d-1}(i): d - 1 steps, O(x * d) operations.
     """
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
@@ -70,17 +71,14 @@ def sigma_chain(poly, x: int, depth: int, mode: str = EXACT) -> PrecisionValue:
     a = _reciprocals(poly, x, mode)
     # E[t] for the current chain length m, indices 2..x+1
     e = [_number(mode, 1)] * (x + 2)
-    for _ in range(depth - 2):
+    for _ in range(depth - 1):
         new = [zero] * (x + 2)
         for t in range(x, 1, -1):
             new[t] = new[t + 1] + a[t] * e[t + 1]
         e = new
-    # suffix[i] = sum_{j=i}^{x} a_j * E_{d-2}(j+1)
     total = zero
-    suffix = zero
     for i in range(x, 1, -1):
-        suffix = suffix + a[i] * e[i + 1]
-        total = total + a[i] * suffix
+        total = total + a[i] * e[i]
     return _wrap(mode, total)
 
 

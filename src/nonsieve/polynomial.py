@@ -128,8 +128,6 @@ def prime_shell(p: int) -> IntegerPolynomial:
     """The degree p-1 polynomial equal to n**p - (n-1)**p."""
     if p < 1:
         raise ValueError(f"shell power must be >= 1, got {p}")
-    if p == 1:
-        return make_polynomial([1], "prime-shell p=1")
     # n**p - sum_k C(p,k) n**k (-1)**(p-k): the n**p terms cancel.
     coeffs = [-comb(p, k) * (-1) ** (p - k) for k in range(p)]
     return make_polynomial(coeffs, f"prime-shell p={p}")
@@ -143,25 +141,21 @@ def integers() -> IntegerPolynomial:
 def validate_monotone(poly: IntegerPolynomial, x: int) -> None:
     """Raise NotMonotoneError unless f(n+1) > f(n) on 1 <= n < x.
 
-    The walk stops once its last d + 1 values prove the rest: they rise, so
-    Delta^1 > 0 at the first of them, and _difference_edge keeps Delta^1 at
-    or above that for all later n.  Shells and nonnegative coefficients stop
-    by n = d + 1; a negative leading coefficient never stops early.
+    The walk checks that each Horner value of values(1, x) rises, and for
+    degree >= 1 stops at the difference table's piece: the window that made
+    values switch rose and has every Delta^k >= 0, so Delta^1 > 0 from there
+    on.  A constant walks into its table and fails at n = 1.
     """
     if x < 2:
         raise ValueError(f"monotone check needs x >= 2, got {x}")
-    d = poly.degree
-    provable = poly.coefficients[-1] > 0
-    values = poly.values(1, x)
-    window = [next(values)]  # the last d + 1 values
-    for n, cur in enumerate(values, 1):
-        if cur <= window[-1]:
-            raise NotMonotoneError(f"{poly.label} is not increasing at n={n}")
-        window.append(cur)
-        if provable and len(window) > d:
-            del window[:-d - 1]
-            if _difference_edge(window) is not None:
-                return
+    prev, n = 0, 0  # f(n) so far; every f(1) >= 1 rises above 0
+    for piece in poly._pieces(1, x):
+        if poly.degree and not isinstance(piece, tuple):
+            return
+        for cur in piece:
+            if cur <= prev:
+                raise NotMonotoneError(f"{poly.label} is not increasing at n={n}")
+            prev, n = cur, n + 1
 
 
 def parse_poly_spec(spec: str) -> IntegerPolynomial:

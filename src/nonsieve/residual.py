@@ -28,19 +28,21 @@ from .polynomial import IntegerPolynomial, validate_monotone
 
 
 # The largest bit length of D = prod_{n <= x} f(n)**s that an exact pair may
-# need, judged up front also for tables, which read enclosures and form no D.
+# need, judged up front also for tables, which form no D: the cap bounds their
+# walk's powers f(n)**s too, and n**100000 for n = 1..200 took 2.2 s.
 # Cost grows about as bits**1.6: at 3.4e6 bits one exact residual took 9 s
 # (integers, x = 1000, s = 400; Python 3.11 on x86_64).  The bound below
 # stays under 2e5 bits for every test and benchmark command.
 EXACT_BITS_MAX = 1 << 24
 
 
-def _checked_start(poly: IntegerPolynomial, x_list: list[int], s, mode: str) -> int | None:
+def _checked_start(poly: IntegerPolynomial, x_list: list[int], s, mode: str) -> int:
     """Check the first of the ascending limits, f's monotonicity up to the
     last one, the exponent and, in exact mode, the size of D; return the
     start index n0 at the last limit x: the smallest n <= x with f(n) >= 2,
-    or None.  f(1) is the sum of the coefficients, and past the monotone
-    check f(2) > f(1) unless f is the constant 1, so n0 needs no walk.
+    or x + 1, so a limit below n0 has no factor.  f(1) is the sum of the
+    coefficients, and past the monotone check f(2) > f(1) unless f is the
+    constant 1, so n0 needs no walk.
     """
     if x_list[0] < 1:
         raise ValueError(f"truncation limit must be >= 1, got {x_list[0]}")
@@ -61,7 +63,7 @@ def _checked_start(poly: IntegerPolynomial, x_list: list[int], s, mode: str) -> 
             )
     if sum(poly.coefficients) >= 2:
         return 1
-    return 2 if x >= 2 and not unit else None
+    return x + 1 if unit else 2  # at x = 1 both say no factor
 
 
 # Below this many terms a range is folded term by term: the products are
@@ -94,12 +96,12 @@ def _join(left: tuple[int, int, int], right: tuple[int, int, int]) -> tuple[int,
     return s1 * d2 + s2 * d1, d1 * d2, q1 * q2
 
 
-def _units(x: int, n0: int | None) -> int:
-    """The part of Z(x) before n0: one per unit value f(n) = 1 with n <= x
-    while no factor has started, and 1 after that.  Only the constant 1 may
-    repeat a value, so that 1 is the one unit f(1) = 1 (n0 = 2) or, when
-    f(1) > 1 (n0 = 1), the explicit leading 1."""
-    return x if n0 is None or x < n0 else 1
+def _units(x: int, n0: int) -> int:
+    """The part of Z(x) before n0: one per unit value f(n) = 1 while no
+    factor has started up to x (x < n0), and 1 after that.  Only the
+    constant 1 may repeat a value, so that 1 is the one unit f(1) = 1
+    (n0 = 2) or, when f(1) > 1 (n0 = 1), the explicit leading 1."""
+    return x if x < n0 else 1
 
 
 # Bits after the binary point of the fixed-point walk that encloses Z and P.
@@ -108,7 +110,7 @@ def _units(x: int, n0: int | None) -> int:
 _ENCLOSE_BITS = 128
 
 
-def _exact_zps(poly: IntegerPolynomial, x_list: list[int], s: int, n0: int | None):
+def _exact_zps(poly: IntegerPolynomial, x_list: list[int], s: int, n0: int):
     """Exact (Z, P, M) at each ascending limit, enclosed by one walk over
     t = f(n)**s in fixed point, one = 2**_ENCLOSE_BITS.
 
@@ -120,7 +122,6 @@ def _exact_zps(poly: IntegerPolynomial, x_list: list[int], s: int, n0: int | Non
     of all the limits at most once, when a pair is first read or an
     enclosure cannot decide a rounding.
     """
-    lo = x_list[-1] + 1 if n0 is None else n0  # the first n with a factor
     one = 1 << _ENCLOSE_BITS
 
     @functools.cache
@@ -128,8 +129,8 @@ def _exact_zps(poly: IntegerPolynomial, x_list: list[int], s: int, n0: int | Non
         """The exact (Z, P) pairs at every limit, from one tree per segment
         between consecutive limits, folded into the running (S, D, Q).  Z
         and P hold the same D."""
-        values = poly.values(lo, x_list[-1])
-        out, sdq, n = [], (0, 1, 1), lo  # n: the next n to fold in
+        values = poly.values(n0, x_list[-1])
+        out, sdq, n = [], (0, 1, 1), n0  # n: the next n to fold in
         for x in x_list:
             if x >= n:
                 sdq = _join(sdq, _split(values, n, x + 1, s))
@@ -138,22 +139,22 @@ def _exact_zps(poly: IntegerPolynomial, x_list: list[int], s: int, n0: int | Non
             out.append(((s_num + _units(x, n0) * den, den), (q, den)))
         return out
 
-    terms = poly.values(lo, x_list[-1])
+    terms = poly.values(n0, x_list[-1])
     if s != 1:
         terms = map(pow, terms, repeat(s))
     z, q, k = 0, -one, 0  # k: the factors walked
     for i, x in enumerate(x_list):
-        for t in islice(terms, max(0, x + 1 - lo - k)):
+        for t in islice(terms, max(0, x + 1 - n0 - k)):
             z += one // t
             q -= q // t
-        k = max(k, x + 1 - lo)
+        k = max(k, x + 1 - n0)
         zlo = _units(x, n0) * one + z
         zv = PrecisionValue.deferred(lambda i=i: pairs()[i][0], (zlo, zlo + k, one))
         pv = PrecisionValue.deferred(lambda i=i: pairs()[i][1], (-q, k - q, one))
         yield zv, pv, _combine(zv, pv)
 
 
-def _float_zps(poly: IntegerPolynomial, x_list: list[int], s, n0: int | None):
+def _float_zps(poly: IntegerPolynomial, x_list: list[int], s, n0: int):
     """Compensated (Z, P, M) at each ascending limit, from one walk over f.
 
     The walk carries u = Z - 1, Q = P and M itself, never Z * P - 1.  With
@@ -172,7 +173,6 @@ def _float_zps(poly: IntegerPolynomial, x_list: list[int], s, n0: int | None):
     u, uc = (0.0 if n0 == 1 else -1.0), 0.0  # f(1) > 1 exactly when n0 = 1
     q, qc = 1.0, 0.0
     m, mc = 0.0, 0.0
-    first = x_list[-1] + 1 if n0 is None else n0  # the first n with a factor
     values = poly.values(1, x_list[-1])
     if s == 1:
         terms = map((1.0).__truediv__, values)  # 1.0 / v
@@ -180,8 +180,8 @@ def _float_zps(poly: IntegerPolynomial, x_list: list[int], s, n0: int | None):
         terms = map(pow, map(float, values), repeat(-s))  # float(v) ** -s
     n = 0  # the last n walked
     for x in x_list:
-        u += sum(islice(terms, max(0, min(x, first - 1) - n)))  # 1.0s: exact
-        for t in islice(terms, max(0, x - max(n, first - 1))):
+        u += sum(islice(terms, max(0, min(x, n0 - 1) - n)))  # 1.0s: exact
+        for t in islice(terms, max(0, x - max(n, n0 - 1))):
             p = t * (q + qc)
             z = u + t  # Fast2Sum(u, t)
             uc += t - (z - u)
@@ -199,11 +199,11 @@ def _float_zps(poly: IntegerPolynomial, x_list: list[int], s, n0: int | None):
         yield (
             PrecisionValue.compensated(zh, zl + uc),
             PrecisionValue.compensated(q, qc),
-            PrecisionValue.compensated(*((m, mc) if x >= first else (u, uc))),
+            PrecisionValue.compensated(*((m, mc) if x >= n0 else (u, uc))),
         )
 
 
-def _zps(poly: IntegerPolynomial, x_list: list[int], s, mode: str, n0: int | None):
+def _zps(poly: IntegerPolynomial, x_list: list[int], s, mode: str, n0: int):
     """(Z, P, M) at each ascending limit in the accumulation mode."""
     if mode == EXACT:
         return _exact_zps(poly, x_list, int(s), n0)
@@ -295,9 +295,9 @@ def _make_result(
     z: PrecisionValue,
     p: PrecisionValue,
     m: PrecisionValue,
-    n0: int | None,
+    n0: int,
 ) -> ResidualResult:
-    empty = n0 is None or x < n0
+    empty = x < n0
     value = m.value
     if not empty and not -1.0 < value < 0.0:
         if value == 0.0 and mode != EXACT:

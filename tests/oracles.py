@@ -36,7 +36,7 @@ def float_zps_twosum(poly, x_list, s, n0):
     for x in x_list:
         for n in range(last + 1, x + 1):
             t = 1.0 / poly(n) if s == 1 else float(poly(n)) ** -s
-            if n0 is None or n < n0:
+            if n < n0:
                 u += t  # 1.0: f(n) = 1 before n0
                 continue
             p = -t * (q + qc)
@@ -49,6 +49,5 @@ def float_zps_twosum(poly, x_list, s, n0):
             qc += e
         last = x
         zh, zl = two_sum(1.0, u)
-        started = n0 is not None and x >= n0
-        rows.append(((zh, zl + uc), (q, qc), (m, mc) if started else (u, uc)))
+        rows.append(((zh, zl + uc), (q, qc), (m, mc) if x >= n0 else (u, uc)))
     return rows

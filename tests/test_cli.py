@@ -321,6 +321,22 @@ class TestBadInputExitCodes:
         cfg = self.config(tmp_path, **{"limits": [8], key: value})
         assert self.run_err(capsys, command, "--config", cfg) == 2
 
+    def test_unknown_config_key(self, capsys, tmp_path):
+        # ignored, "limit" would leave table1 at its default limits, exit 0
+        cfg = self.config(tmp_path, limit=[5], depth=3)
+        assert run(["table1", "--config", cfg]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: config has unknown keys: 'depth', 'limit'; valid keys: "
+            "poly, s, precision, format, out, powers, limits, max_depth\n"))
+
+    def test_large_integral_exponent_prints_as_a_float(self, capsys):
+        # as an int, s = 1e300 would print as 301 digits
+        argv = ["residual", "--poly", "shell:3", "--x", "10", "--s", "1e300", "--float"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: prime-shell p=3: float M(10) at s=1e+300 underflows to 0.0: "
+            "|M| is below the binary64 range\n")
+
     def test_config_integers_and_choices_accepted(self, capsys, tmp_path):
         cfg = self.config(tmp_path, limits=[8], max_depth=3, precision="float", format="json")
         code, out = run_cli(capsys, "compare", "--config", cfg)

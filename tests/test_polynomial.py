@@ -1,4 +1,4 @@
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -105,11 +105,19 @@ class TestValidateMonotone:
 
     def test_proof_exit_reads_only_a_few_values(self):
         class Bounded(IntegerPolynomial):
-            def values(self, lo, hi):
-                for k, v in enumerate(super().values(lo, hi)):
-                    if k == 50:
-                        raise AssertionError("read 50 values")
-                    yield v
+            def _pieces(self, lo, hi):
+                read = count()
+
+                def counted(piece):
+                    for v in piece:
+                        if next(read) == 50:
+                            raise AssertionError("read 50 values")
+                        yield v
+
+                # Horner values stay 1-tuples; the table's stream is counted
+                # as it is read.
+                for piece in super()._pieces(lo, hi):
+                    yield tuple(counted(piece)) if isinstance(piece, tuple) else counted(piece)
 
         shell = prime_shell(3)
         validate_monotone(Bounded(shell.coefficients, shell.label), 10**9)
@@ -145,6 +153,7 @@ def outcome(check, poly, x):
 @example(coeffs=[0, -400, -1, 0, 1], shift=10**5, x=300)  # n^4 falls until n = 5
 @example(coeffs=[0, 60, -12, 1], shift=0, x=300)  # rises, Delta^2 < 0 until n = 3
 @example(coeffs=[1, 299, -30, 1], shift=0, x=300)  # rises, then f(10) = f(9)
+@example(coeffs=[3], shift=0, x=2)  # a constant: its table starts after f(1)
 def test_proof_exit_agrees_with_a_full_walk(coeffs, shift, x):
     coeffs = [coeffs[0] + shift, *coeffs[1:]]
     poly = IntegerPolynomial(tuple(coeffs), ",".join(map(str, coeffs)))

@@ -178,7 +178,8 @@ class TestExactSizeCap:
     def test_cli_exits_2(self, no_powers, capsys):
         argv = ["residual", "--poly", "shell:3", "--x", "1000", "--s", "1e6", "--exact"]
         assert run(argv) == 2
-        assert "float mode" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "float mode" in err and " s=1000000 would form" in err  # s stays an int
 
     def test_edge_of_the_cap(self, monkeypatch):
         # integers at x = 4: D <= 4**(4 s), an 8 s bit bound
@@ -352,7 +353,7 @@ def test_exact_enclosures_hold_the_exact_values(poly, s, xs):
     n0 = residual_module._checked_start(poly, xs, s, "exact")
     for x, zpm in zip(xs, residual_module._zps(poly, xs, s, "exact", n0)):
         z, p, m, _, _ = oracle(poly, x, s)
-        walked = 0 if n0 is None else max(0, x + 1 - n0)  # factors walked
+        walked = max(0, x + 1 - n0)  # factors walked
         for v, exact in zip(zpm, (z, p, m)):
             lo, hi, den = v.bounds
             assert Fraction(lo, den) <= exact <= Fraction(hi, den)
