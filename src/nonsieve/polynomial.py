@@ -124,13 +124,17 @@ def make_polynomial(coefficients, label: str | None = None) -> IntegerPolynomial
     return poly
 
 
+def shell_coefficients(p: int) -> tuple[int, ...]:
+    """The ascending coefficients of n**p - (n-1)**p, p of them."""
+    # n**p - sum_k C(p,k) n**k (-1)**(p-k): the n**p terms cancel.
+    return tuple(-comb(p, k) * (-1) ** (p - k) for k in range(p))
+
+
 def prime_shell(p: int) -> IntegerPolynomial:
     """The degree p-1 polynomial equal to n**p - (n-1)**p."""
     if p < 1:
         raise ValueError(f"shell power must be >= 1, got {p}")
-    # n**p - sum_k C(p,k) n**k (-1)**(p-k): the n**p terms cancel.
-    coeffs = [-comb(p, k) * (-1) ** (p - k) for k in range(p)]
-    return make_polynomial(coeffs, f"prime-shell p={p}")
+    return make_polynomial(shell_coefficients(p), f"prime-shell p={p}")
 
 
 def integers() -> IntegerPolynomial:

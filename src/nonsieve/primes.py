@@ -14,10 +14,10 @@ from bisect import bisect_right
 from collections import namedtuple
 from functools import partial
 from itertools import compress
-from math import isqrt, log
+from math import gcd, isqrt, log
 
 from .errors import OutOfRangeError
-from .polynomial import IntegerPolynomial
+from .polynomial import IntegerPolynomial, shell_coefficients
 
 _U64 = 1 << 64
 
@@ -88,14 +88,26 @@ PrimeCensus = namedtuple(
 )
 
 
-def _primes_to(bound: int):
-    """The primes q <= bound, from a bytearray sieve of Eratosthenes."""
-    flags = bytearray([1]) * (bound + 1)
+def _primes_to(bound: int, segment: int = 1 << 16):
+    """The primes q <= bound, from a segmented sieve of Eratosthenes: a
+    bytearray sieve gives the base primes up to isqrt(bound), and they
+    strike the rest one window of `segment` flags at a time, so no more
+    than isqrt(bound) + segment flags are held at once."""
+    root = isqrt(bound)
+    flags = bytearray([1]) * (root + 1)
     flags[:2] = b"\0\0"
-    for p in range(2, isqrt(bound) + 1):
+    for p in range(2, isqrt(root) + 1):
         if flags[p]:
-            flags[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
-    return compress(range(bound + 1), flags)
+            flags[p * p::p] = bytes(len(range(p * p, root + 1, p)))
+    base = list(compress(range(root + 1), flags))
+    yield from base
+    for lo in range(root + 1, bound + 1, segment):
+        hi = min(lo + segment, bound + 1)
+        flags = bytearray([1]) * (hi - lo)
+        for p in base:  # p * p <= bound, and every p below lo
+            start = max(p * p, -(-lo // p) * p)
+            flags[start - lo::p] = bytes(len(range(start, hi, p)))
+        yield from compress(range(lo, hi), flags)
 
 
 def _sqrt_mod(a: int, q: int) -> int | None:
@@ -154,6 +166,26 @@ def _roots_mod(c0: int, c1: int, c2: int, q: int):
     return ((s - c1) * inv % q, (-s - c1) * inv % q)
 
 
+def _shell_roots(p: int, q: int):
+    """The r in 1..q-1 with q | r**p - (r-1)**p, for a prime q.  Neither 0
+    nor 1 is a root, as f(0) = +-1 and f(1) = 1, so q | f(r) exactly when
+    z = r / (r - 1) has z**p = 1 and z != 1, and r = z / (z - 1) =
+    1 + 1 / (z - 1).  The z with z**p = 1 form the subgroup of order
+    d = gcd(p, q - 1) (Crandall & Pomerance, Prime Numbers, sec. 2.2), so
+    q = 2, q = p and every q != 1 (mod p) for prime p have no root.  Else
+    g = a**((q-1)/d) for a = 2, 3, ... until g**k != 1 for k = 1..d-1, and
+    those powers of g give the roots."""
+    d = gcd(p, q - 1)
+    if d == 1:
+        return ()
+    for a in range(2, q):  # a primitive root mod q ends the search
+        zs = [pow(a, (q - 1) // d, q)]
+        while len(zs) < d - 1:
+            zs.append(zs[-1] * zs[0] % q)
+        if 1 not in zs:
+            return [1 + pow(z - 1, -1, q) for z in zs]
+
+
 def _scanned_roots(poly: IntegerPolynomial, bound: int):
     """q -> the r in 1..q with q | f(r), read from f(1..bound) by Horner
     without the f(n) >= 1 check, so errors still come from the walk."""
@@ -182,16 +214,18 @@ def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
 
     Primality comes from a sieve by the roots of f mod each prime q <= B
     (Crandall & Pomerance, Prime Numbers, sec. 3.2), X the largest limit.
-    For f of degree <= 2 with a positive leading coefficient, every f(n)
-    with n <= X is at most T = max(f(1), f(X)), so B = max(B1, min(isqrt(T),
-    4 X)) with B1 = max(37, min(1000, isqrt(4 X))), and the roots come in
-    closed form (_roots_mod).  Any other f takes B = B1 and reads its roots
-    from f(1..B).  A value v <= B or v >= 2**64 goes to is_prime
-    (OutOfRangeError at the first f(n) >= 2**64).  Any other v is composite
-    when struck, prime below (B + 1)**2, and else goes straight to
-    Miller-Rabin: every prime <= 37 is sieved, so is_prime's trial division
-    would pass it.  So for degree <= 2 Miller-Rabin runs only where the 4 X
-    cap binds.
+    The roots come in closed form for a prime shell n**p - (n-1)**p, known
+    by its coefficients (_shell_roots, from the p-th roots of unity), and
+    for f of degree <= 2 with a positive leading coefficient (_roots_mod).
+    Every f(n) with n <= X is then at most T = max(f(1), f(X)), so B =
+    max(B1, min(isqrt(T), 4 X)) with B1 = max(37, min(1000, isqrt(4 X))).
+    Any other f takes B = B1 and reads its roots from f(1..B).  A value
+    v <= B or v >= 2**64 goes to is_prime (OutOfRangeError at the first
+    f(n) >= 2**64).  Any other v is composite when struck, prime below
+    (B + 1)**2, and else goes straight to Miller-Rabin: every prime <= 37
+    is sieved, so is_prime's trial division would pass it.  So for degree
+    <= 2 Miller-Rabin runs only where the 4 X cap binds, and for a shell
+    of degree >= 3 only from (4 X + 1)**2 on.
     Unit outputs f(n) = 1 with n >= 2 are left out of the log sum and counted
     in skipped_units.
     The log sum is KahanSum.add written out on locals, operation for
@@ -207,13 +241,18 @@ def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
     x_max = x_list[-1]
     bound = max(_SMALL_PRIMES[-1], min(1000, isqrt(4 * x_max)))
     coeffs = poly.coefficients
-    if len(coeffs) <= 3 and coeffs[-1] > 0:
-        c0, c1, c2 = coeffs + (0,) * (3 - len(coeffs))
-        top = max(c0 + c1 + c2, c0 + (c1 + c2 * x_max) * x_max, 0)  # Horner, never raises
-        bound = max(bound, min(isqrt(top), 4 * x_max))
-        struck = _struck(x_max, bound, partial(_roots_mod, c0, c1, c2))
+    if coeffs == shell_coefficients(len(coeffs)):
+        roots = partial(_shell_roots, len(coeffs))
+    elif len(coeffs) <= 3 and coeffs[-1] > 0:
+        roots = partial(_roots_mod, *coeffs + (0,) * (3 - len(coeffs)))
     else:
-        struck = _struck(x_max, bound, _scanned_roots(poly, bound))
+        roots = None  # read from f(1..B) below
+    if roots:
+        top = 0
+        for c in reversed(coeffs):
+            top = top * x_max + c  # Horner, never raises
+        bound = max(bound, min(isqrt(max(sum(coeffs), top, 0)), 4 * x_max))
+    struck = _struck(x_max, bound, roots or _scanned_roots(poly, bound))
     square = (bound + 1) ** 2
     results = []
     count = skipped = 0

@@ -56,6 +56,10 @@ def _checked_start(poly: IntegerPolynomial, x_list: list[int], s, mode: str) -> 
         # ceil(log2 v) for v >= 1.
         bits = int(s) * x * (poly(x) - 1).bit_length()
         if bits > EXACT_BITS_MAX:
+            if bits >= 2**53:  # as s prints from 2**53 on; Decimal takes any int
+                from decimal import Decimal
+
+                bits = f"{Decimal(bits):.4g}"
             raise OutOfRangeError(
                 f"{poly.label}: exact mode at x={x}, s={s} would form integers of "
                 f"up to {bits} bits, above the {EXACT_BITS_MAX}-bit cap; "
@@ -164,11 +168,20 @@ def _float_zps(poly: IntegerPolynomial, x_list: list[int], s, n0: int):
     one sign, so nothing cancels, and each product reads its factor's
     compensation.  The u and Q sums are Fast2Sum (Dekker 1971), whose error
     term equals TwoSum's when the first operand is the larger: u >= t as f
-    increases, and Q > p as t <= 1/2.  M keeps TwoSum, as its first steps
-    can have |p * u| > |M|.  Before n0 every term is 1.0, P = 1 and M = u,
-    and u is exactly 0 at n0 - 1, where M starts.  The terms come from
-    C-level maps; each limit's segment is split at the first factor, so
-    the loops test nothing.
+    increases, and Q > p as t <= 1/2.  Before n0 every term is 1.0, P = 1
+    and M = u, and u is exactly 0 at n0 - 1, where M starts.
+    M is TwoSum for its first three factors, which can have |p * u| > |M|
+    (f = n + 13 at n = 2), and Fast2Sum from n0 + 3 on.  With
+    w_n = t_n * Q_{n-1} * u_n the term taken from M: t and Q fall, and
+    t_n <= t_{n-2} <= u_{n-2} for n >= n0 + 2, so u_n <= u_{n-1} + u_{n-2}
+    and w_n <= w_{n-1} + w_{n-2}.  For n >= n0 + 3 that gives
+    |M_{n-1}| >= w_{n-1} + w_{n-2} + w_{n-3} >= w_n + w_{n-3}, and
+    w_{n-3} >= w_n / 4 as u_n <= u_{n-3} + 3 t_{n-3} <= 4 u_{n-3}.  A margin
+    of a quarter of w_n is far above the few rounding units by which the
+    float m and w differ from M and w_n, so |m| >= |w|, and Fast2Sum's error
+    term equals TwoSum's: every (approx, comp) is bit-identical.  The terms
+    come from C-level maps; each limit's segment is split at the first
+    factor and at n0 + 3, so the loops test nothing.
     """
     u, uc = (0.0 if n0 == 1 else -1.0), 0.0  # f(1) > 1 exactly when n0 = 1
     q, qc = 1.0, 0.0
@@ -181,15 +194,24 @@ def _float_zps(poly: IntegerPolynomial, x_list: list[int], s, n0: int):
     n = 0  # the last n walked
     for x in x_list:
         u += sum(islice(terms, max(0, min(x, n0 - 1) - n)))  # 1.0s: exact
-        for t in islice(terms, max(0, x - max(n, n0 - 1))):
+        for t in islice(terms, max(0, min(x, n0 + 2) - max(n, n0 - 1))):
+            p = t * (q + qc)
+            z = u + t  # Fast2Sum(u, t)
+            uc += t - (z - u)
+            u = z
+            m, e = two_sum(m, -p * (u + uc))
+            mc += e
+            z = q - p  # Fast2Sum(q, -p)
+            qc += (q - z) - p
+            q = z
+        for t in islice(terms, max(0, x - max(n, n0 + 2))):
             p = t * (q + qc)
             z = u + t  # Fast2Sum(u, t)
             uc += t - (z - u)
             u = z
             w = p * (u + uc)
-            z = m - w  # TwoSum(m, -w)
-            bb = z - m
-            mc += (m - (z - bb)) - (w + bb)
+            z = m - w  # Fast2Sum(m, -w), from n0 + 3 on
+            mc += (m - z) - w
             m = z
             z = q - p  # Fast2Sum(q, -p)
             qc += (q - z) - p

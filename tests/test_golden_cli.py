@@ -48,6 +48,11 @@ CASES = {
     "table2_float_x100000": (
         "table2", "--precision", "float", "--powers", "2,3", "--limits", "1000,100000",
     ),
+    # shells of degree 3, 4 and 6, whose census sieves by roots of unity to
+    # 4 X; the file was written while they sieved to 67 by Horner values
+    "table2_float_shells457": (
+        "table2", "--precision", "float", "--powers", "4,5,7", "--limits", "1000,1150",
+    ),
     # exact cells at sizes where a binary-splitting tree per scan took most
     # of the time; all three files were written while each scan built one
     "table2_exact_x1000": ("table2", "--powers", "2,3,5,7", "--limits", "100,200,500,1000"),

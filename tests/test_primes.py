@@ -1,8 +1,9 @@
 import math
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from oracles import is_prime_trial_division
 from test_exact_oracle import SPECS
 
@@ -21,7 +22,9 @@ from nonsieve import (
     residual_scan,
 )
 from nonsieve import primes
-from nonsieve.primes import PrimeCensus, _roots_mod, bases_for, strong_probable_prime
+from nonsieve.primes import (
+    PrimeCensus, _roots_mod, _shell_roots, bases_for, strong_probable_prime,
+)
 
 FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -271,10 +274,11 @@ def census_outcome(scan, poly, xs):
 
 
 # The sieve bound is B = max(37, min(1000, isqrt(4 X))) for the largest
-# limit X.  An f of degree <= 2 with a positive leading coefficient sieves to
-# B2 = max(B, min(isqrt(max(f(1), f(X))), 4 X)) instead.  Values at most the
-# bound go to is_prime, struck values are composite, survivors below
-# (bound + 1)**2 are prime and the rest go to Miller-Rabin.
+# limit X.  A prime shell, and an f of degree <= 2 with a positive leading
+# coefficient, sieve to B2 = max(B, min(isqrt(max(f(1), f(X))), 4 X))
+# instead.  Values at most the bound go to is_prime, struck values are
+# composite, survivors below (bound + 1)**2 are prime and the rest go to
+# Miller-Rabin.
 CENSUS_CASES = (
     ("integers", [1, 2, 3, 36]),  # X < 37: B = 37 > X
     ("integers", [36, 37, 38, 100]),  # f(n) = n runs over every sieving prime
@@ -299,6 +303,10 @@ CENSUS_CASES = (
     ("10,-5,1", [1, 2, 3]),  # f(1) = 6 > f(2) = f(3) = 4
     ("10,-5,1", [1, 2, 3, 4, 5, 200]),  # convex, not monotone
     ("10100,-200,1", [1, 2, 100, 150]),  # B2 = isqrt(f(1)) = 99 > isqrt(f(150)) = 50
+    ("shell:5", [13, 14, 100]),  # B2 = 4 X = 400: f(13) < (B2 + 1)**2 = 160801 < f(14)
+    ("shell:4", [1, 2, 500]),  # (2n - 1)(2n**2 - 2n + 1): no primes
+    ("shell:6", [1, 300]),
+    ("shell:7", [1175, 1176]),  # f(1176) >= 2**64: OutOfRangeError
 )
 
 
@@ -375,8 +383,67 @@ def test_degree_two_census_needs_no_miller_rabin(monkeypatch):
         assert calls == [], poly.label
     census_scan(parse_poly_spec("10100,-200,1"), [150])  # the bound is from f(1) > f(150)
     assert calls == []
-    census_scan(prime_shell(5), [5980])  # degree 4 keeps B = 154 and Miller-Rabin
-    assert calls
+    # A prime shell sieves to B2 = 4 X < isqrt(f(X)) here, so Miller-Rabin
+    # sees only values from (B2 + 1)**2 on.
+    x = 5980
+    census_scan(prime_shell(5), [x])
+    assert calls and min(calls) >= (4 * x + 1) ** 2
+
+
+def brute_shell_roots(p, q):
+    return [r for r in range(q) if (pow(r, p, q) - pow(r - 1, p, q)) % q == 0]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    pq=st.integers(2, 13).flatmap(lambda p: st.tuples(st.just(p), st.one_of(
+        st.sampled_from(PRIMES_BELOW_5000),
+        st.sampled_from([q for q in PRIMES_BELOW_5000 if q % p == 1]),  # d = p
+        st.sampled_from([q for q in PRIMES_BELOW_5000 if p % q == 0]),  # q | p
+        st.just(2),
+    ))),
+)
+@example(pq=(8, 17))  # d = 8: 2**2 = 4 has order 4, so a = 3 gives g
+@example(pq=(4, 17))  # d = 4: 2**4 = -1 has order 2
+@example(pq=(9, 19))  # d = 9
+@example(pq=(12, 13))  # d = 12
+@example(pq=(6, 3))  # q | p with d = 2: f(2) = 63
+@example(pq=(10, 5))
+@example(pq=(4, 2))
+@example(pq=(7, 7))  # q = p: f = 1 mod p
+def test_shell_roots_equal_brute_force(pq):
+    p, q = pq
+    assert sorted(_shell_roots(p, q)) == brute_shell_roots(p, q)
+
+
+def test_shell_census_finds_the_shell_by_its_coefficients(monkeypatch):
+    # any label, as parsed from a coefficient list: the census sieves it by
+    # its roots of unity, not by Horner values of f(1..B)
+    monkeypatch.setattr(primes, "_scanned_roots", None)
+    for p in range(1, 9):
+        poly = parse_poly_spec(",".join(map(str, prime_shell(p).coefficients)))
+        assert census_outcome(census_scan, poly, [50, 400]) == census_outcome(
+            census_oracle, poly, [50, 400])
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 4, 24, 25, 26, 48, 49, 50, 121, 1000])
+@pytest.mark.parametrize("segment", [1, 2, 7, 25])
+def test_segmented_sieve_equals_the_plain_sieve(bound, segment):
+    want = [q for q, flag in enumerate(sieve(max(bound, 1))) if flag and q <= bound]
+    assert list(primes._primes_to(bound, segment)) == want
+
+
+def test_census_sieve_holds_about_x_bytes():
+    # Shell:3 at X = 10**5 sieves to B2 = isqrt(f(X)) = 173204 > X; with
+    # all B2 + 1 flags in one bytearray the call peaked at 447 KB, over 4 X.
+    x = 10**5
+    tracemalloc.start()
+    try:
+        census_scan(prime_shell(3), [x])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * x
 
 
 class TestWitnessTable:

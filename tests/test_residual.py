@@ -181,6 +181,16 @@ class TestExactSizeCap:
         err = capsys.readouterr().err
         assert "float mode" in err and " s=1000000 would form" in err  # s stays an int
 
+    def test_huge_bit_count_prints_in_four_digits(self, capsys):
+        # as a plain int, 9e301 bits printed as 302 digits; 3.5e314 is past
+        # the float range, where format(bits, ".4g") would raise
+        for x, s, bits in (("10", "1e300", "9.000e+301"), ("100000", "1e308", "3.500e+314")):
+            argv = ["residual", "--poly", "shell:3", "--x", x, "--s", s, "--exact"]
+            assert run(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: prime-shell p=3: exact mode at x={x}, s={float(s)!r} would form "
+                f"integers of up to {bits} bits, above the 16777216-bit cap; use float mode\n")
+
     def test_edge_of_the_cap(self, monkeypatch):
         # integers at x = 4: D <= 4**(4 s), an 8 s bit bound
         monkeypatch.setattr(residual_module, "EXACT_BITS_MAX", 8)
@@ -283,6 +293,11 @@ def test_float_m_is_within_a_few_ulps_of_exact(case, data):
 @example(coeffs=(0, 1, 1), s=2, xs=[1, 2, 30])  # f(1) = 2
 @example(coeffs=(0,) * 6 + (1,), s=1, xs=[1, 455, 456, 1200])  # n**6 passes 2**53 at 456
 @example(coeffs=(1,), s=1.5, xs=[1, 7])  # the constant 1: no factor
+# M switches to Fast2Sum at n0 + 3: t nearly equal over the first factors,
+# f(1) > 1 (n0 = 1) with a limit at each of the first four, and s = 40
+@example(coeffs=(10**12, 1), s=1, xs=[1, 2, 3, 4, 5, 9])
+@example(coeffs=(1, 1), s=1, xs=[1, 2, 3, 4])
+@example(coeffs=(1, -3, 3), s=40, xs=[2, 3, 4, 5, 6, 30])
 def test_float_kernel_matches_the_twosum_loop_bit_for_bit(coeffs, s, xs):
     """Fast2Sum where the recurrence orders the operands finds the same
     error terms as TwoSum: every approx and comp of Z, P and M is equal."""
