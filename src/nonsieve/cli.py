@@ -167,9 +167,7 @@ def _emit(payload, columns, fmt: str, stream) -> None:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    if not text.strip():
-        return []
-    return [int(part) for part in text.split(",")]
+    return [int(part) for part in text.split(",")] if text.strip() else []
 
 
 def _load_config(path: str) -> dict:
@@ -260,8 +258,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        sp = sub.add_parser(name)
-        if command not in (None, name):
+        sp = sub.add_parser(name, add_help=command in (None, name))
+        if not sp.add_help:  # a command not run needs only its name
             continue
         sp.add_argument("--poly", help='polynomial spec: "integers", "shell:p", or "1,-3,3"')
         sp.add_argument("--powers", help="comma-separated shell powers")
@@ -281,6 +279,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _flag(args, key: str, convert, form: str):
+    try:  # argparse took the text as given; name the flag and its form
+        return convert(getattr(args, key))
+    except ValueError:
+        raise ValueError(f"--{key} takes {form}, got {getattr(args, key)!r}") from None
+
+
 def _build_config(args) -> RunConfig:
     cfg = RunConfig()
     cfg.precision = os.environ.get(PRECISION_ENV, cfg.precision)
@@ -294,11 +299,11 @@ def _build_config(args) -> RunConfig:
             setattr(cfg, key, value)
     for key in ("powers", "limits"):
         if getattr(args, key) is not None:
-            setattr(cfg, key, _parse_int_list(getattr(args, key)))
+            setattr(cfg, key, _flag(args, key, _parse_int_list, "comma-separated integers"))
     if args.x is not None:
         cfg.limits = [args.x]
     if args.depth is not None:
-        cfg.max_depth = _depth(args.depth)
+        cfg.max_depth = _flag(args, "depth", _depth, 'an integer or "full"')
 
     if any(b <= a for a, b in zip(cfg.limits, cfg.limits[1:])):
         raise ValueError(f"limits must be strictly ascending: {cfg.limits}")

@@ -7,6 +7,7 @@ so evaluation never overflows or rounds.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
 from itertools import accumulate, chain, islice, repeat
 from math import comb
 
@@ -63,18 +64,20 @@ class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients label")):
             )
         return value
 
-    def values(self, lo: int, hi: int):
+    def values(self, lo: int, hi: int, binary64: bool = False):
         """An iterator over f(lo), f(lo + 1), ..., f(hi), each as __call__
         returns it, and no list of them.  Each value is a Horner loop on
         locals until the last d + 1 values prove f >= 1 for the rest
         (_difference_edge); from there on the values come from the
         difference table, d C-level additions per value, so they are exact
         and raise nothing.  The pieces are chained in C, and each error is
-        raised during iteration, at the n where f(n) would raise it.
+        raised during iteration, at the n where f(n) would raise it.  With
+        binary64 the table runs in floats if f(hi) < 2**53: each of its sums
+        is a Delta^k(n) in [0, f(n + k)], n + k <= hi, so exact (Higham, 2.1).
         """
-        return chain.from_iterable(self._pieces(lo, hi))
+        return chain.from_iterable(self._pieces(lo, hi, binary64))
 
-    def _pieces(self, lo: int, hi: int):
+    def _pieces(self, lo: int, hi: int, binary64: bool = False):
         """values in pieces: (f(n),) per Horner value, then the table's stream."""
         if lo < 1:
             raise ValueError(f"polynomial domain is n >= 1, got {lo}")
@@ -95,6 +98,8 @@ class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients label")):
                     del window[:-d - 1]
                     edge = _difference_edge(window)
                     if edge is not None:
+                        if binary64 and reduce(lambda v, c: v * hi + c, coeffs) < 2**53:
+                            edge = [float(e) for e in edge]  # f(hi) by Horner, no __call__
                         # The table runs from m = n - d: skip f(m..n), stop after f(hi).
                         yield islice(_difference_stream(edge), d + 1, hi - n + d + 1)
                         return

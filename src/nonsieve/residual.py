@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from itertools import islice, repeat
+from operator import truediv
 
 from .errors import BoundViolationError, OutOfRangeError
 from .numerics import EXACT, PrecisionValue, require_exactable_exponent, two_sum
@@ -158,6 +159,13 @@ def _exact_zps(poly: IntegerPolynomial, x_list: list[int], s: int, n0: int):
         yield zv, pv, _combine(zv, pv)
 
 
+def _float_terms(poly: IntegerPolynomial, x: int, s):
+    """t = 1/f(n)**s for n = 1..x, as 1.0 / v at s = 1 and v ** -s otherwise:
+    f(n) is binary64 from the table up to 2**53, and an int is converted once."""
+    values = poly.values(1, x, binary64=True)
+    return map(truediv, repeat(1.0), values) if s == 1 else map(pow, values, repeat(-s))
+
+
 def _float_zps(poly: IntegerPolynomial, x_list: list[int], s, n0: int):
     """Compensated (Z, P, M) at each ascending limit, from one walk over f.
 
@@ -180,17 +188,13 @@ def _float_zps(poly: IntegerPolynomial, x_list: list[int], s, n0: int):
     of a quarter of w_n is far above the few rounding units by which the
     float m and w differ from M and w_n, so |m| >= |w|, and Fast2Sum's error
     term equals TwoSum's: every (approx, comp) is bit-identical.  The terms
-    come from C-level maps; each limit's segment is split at the first
+    come from _float_terms in C; each limit's segment is split at the first
     factor and at n0 + 3, so the loops test nothing.
     """
     u, uc = (0.0 if n0 == 1 else -1.0), 0.0  # f(1) > 1 exactly when n0 = 1
     q, qc = 1.0, 0.0
     m, mc = 0.0, 0.0
-    values = poly.values(1, x_list[-1])
-    if s == 1:
-        terms = map((1.0).__truediv__, values)  # 1.0 / v
-    else:
-        terms = map(pow, map(float, values), repeat(-s))  # float(v) ** -s
+    terms = _float_terms(poly, x_list[-1], s)
     n = 0  # the last n walked
     for x in x_list:
         u += sum(islice(terms, max(0, min(x, n0 - 1) - n)))  # 1.0s: exact

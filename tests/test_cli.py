@@ -37,6 +37,14 @@ def test_per_command_parser_prints_what_the_full_parser_prints(capsys, argv):
     assert exit_outcome(capsys, run, argv) == exit_outcome(capsys, full, argv)
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_top_level_help_of_a_per_command_parser_is_the_full_parsers(capsys, command):
+    # the parser built for one command gives the others no arguments and no
+    # -h; each command's own --help is compared above
+    per_command, full = build_parser(command).parse_args, build_parser(None).parse_args
+    assert exit_outcome(capsys, per_command, ["--help"]) == exit_outcome(capsys, full, ["--help"])
+
+
 class TestTable1:
     def test_default_run(self, capsys):
         code, out = run_cli(capsys, "table1")
@@ -282,6 +290,17 @@ class TestBadInputExitCodes:
     def test_missing_config_file_is_an_io_error(self, capsys, tmp_path):
         missing = str(tmp_path / "absent.json")
         assert self.run_err(capsys, "table1", "--config", missing) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (("table1", "--limits", "1,a"), "--limits takes comma-separated integers, got '1,a'"),
+        (("table2", "--powers", "2,x"), "--powers takes comma-separated integers, got '2,x'"),
+        (("mseries", "--poly", "shell:3", "--depth", "3.0"),
+         """--depth takes an integer or "full", got '3.0'"""),
+    ], ids=["limits", "powers", "depth"])
+    def test_bad_flag_text_names_the_flag_and_its_form(self, capsys, argv, message):
+        # argparse names --x in its own errors; these flags are read after it
+        assert run(list(argv)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_limit_below_one(self, capsys):
         assert self.run_err(capsys, "figure-data", "--limits", "0,5") == 2

@@ -75,6 +75,14 @@ CASES = {
     "compare_depth_above_x_exact": (
         "compare", "--poly", "integers", "--x", "30", "--depth", "40", "--exact",
     ),
+    # float residuals on both sides of 2**53: f(8191) is just below it, so the
+    # walk reads every f(n) from the binary64 difference table, and n**4
+    # passes it at n = 9742, so all of its values stay ints; both files were
+    # written while the walk took every f(n) as an int
+    "residual_float_binary64_table": (
+        "residual", "--poly", "1,0,1,1,2", "--x", "8191", "--float",
+    ),
+    "residual_float_past_2_53": ("residual", "--poly", "0,0,0,0,1", "--x", "50000", "--float"),
     # single-polynomial commands, both modes
     **{
         f"{name}_{mode}": (cmd, "--poly", poly, "--x", x, *extra, f"--{mode}")

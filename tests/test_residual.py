@@ -298,6 +298,13 @@ def test_float_m_is_within_a_few_ulps_of_exact(case, data):
 @example(coeffs=(10**12, 1), s=1, xs=[1, 2, 3, 4, 5, 9])
 @example(coeffs=(1, 1), s=1, xs=[1, 2, 3, 4])
 @example(coeffs=(1, -3, 3), s=40, xs=[2, 3, 4, 5, 6, 30])
+# f = n + 2**53 - 3 reaches 2**53 + 1 at n = 4, so its values stay ints; a
+# binary64 table would round f(4) and add to the rounded value up to f(6).
+# 2 n**4 + n**3 + n**2 + 1 stays below 2**53 to 8191, read in binary64
+@example(coeffs=(2**53 - 3, 1), s=1, xs=[1, 2, 3, 4])
+@example(coeffs=(2**53 - 3, 1), s=1.5, xs=[1, 2, 3, 4])
+@example(coeffs=(2**53 - 3, 1), s=1.5, xs=[2, 6])
+@example(coeffs=(1, 0, 1, 1, 2), s=1, xs=[8191])
 def test_float_kernel_matches_the_twosum_loop_bit_for_bit(coeffs, s, xs):
     """Fast2Sum where the recurrence orders the operands finds the same
     error terms as TwoSum: every approx and comp of Z, P and M is equal."""
@@ -308,6 +315,37 @@ def test_float_kernel_matches_the_twosum_loop_bit_for_bit(coeffs, s, xs):
     want = [tuple((a.hex(), c.hex()) for a, c in zpm)
             for zpm in float_zps_twosum(poly, xs, s, n0)]
     assert got == want
+
+
+@st.composite
+def near_2_53(draw):
+    """Coefficients of degree 0-4, the leading one positive or negative, with
+    f(hi) = 2**53 - 1, 2**53 or 2**53 + 1, and a walk to x = hi + 0..3."""
+    d, hi = draw(st.integers(0, 4)), draw(st.integers(1, 300))
+    target = 2**53 + draw(st.sampled_from((-1, 0, 1)))
+    middle = draw(st.lists(st.integers(0, 9), min_size=max(d - 1, 0), max_size=max(d - 1, 0)))
+    rest = target - sum(c * hi**k for k, c in enumerate(middle, 1))
+    if d and draw(st.booleans()):
+        lead = -draw(st.integers(1, 9))  # f falls from some n on: never read from the table
+    else:
+        lead = rest // hi**d  # >= 1, and the constant term is what is left
+    coeffs = (rest - lead * hi**d, *middle, lead) if d else (target,)
+    return coeffs, hi + draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=near_2_53(), s=st.sampled_from((1, 1.5, 40)))
+def test_float_terms_equal_the_terms_of_each_value(case, s):
+    """The walk's values equal f(n), those from 2**53 on as ints, and each
+    of its terms is bit for bit 1.0 / f(n) or float(f(n)) ** -s."""
+    coeffs, x = case
+    poly = make_polynomial(coeffs)
+    want = [poly(n) for n in range(1, x + 1)]
+    got = list(poly.values(1, x, binary64=True))
+    assert got == want
+    assert all(isinstance(v, int) for v in got if v >= 2**53)
+    terms = [(1.0 / v if s == 1 else float(v) ** -s).hex() for v in want]
+    assert [t.hex() for t in residual_module._float_terms(poly, x, s)] == terms
 
 
 def test_float_m_past_2_53_matches_exact():
