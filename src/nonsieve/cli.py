@@ -205,10 +205,13 @@ def _int_list(value) -> list[int]:
 
 
 def _depth(value) -> int | None:
-    """A chain depth: an integer, or None or "full" for full depth."""
+    """A chain depth: an integer >= 2, or None or "full" for full depth."""
     if value in (None, "full"):
         return None
-    return int(value) if isinstance(value, str) else _int(value)
+    depth = int(value) if isinstance(value, str) else _int(value)
+    if depth < 2:
+        raise ValueError(f"expected an integer >= 2, got {value!r}")
+    return depth
 
 
 def _choice(*choices):
@@ -303,7 +306,7 @@ def _build_config(args) -> RunConfig:
     if args.x is not None:
         cfg.limits = [args.x]
     if args.depth is not None:
-        cfg.max_depth = _flag(args, "depth", _depth, 'an integer or "full"')
+        cfg.max_depth = _flag(args, "depth", _depth, 'an integer >= 2 or "full"')
 
     if any(b <= a for a, b in zip(cfg.limits, cfg.limits[1:])):
         raise ValueError(f"limits must be strictly ascending: {cfg.limits}")

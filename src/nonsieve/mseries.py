@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 from .errors import LimitsTooLargeError
 from .numerics import EXACT, FLOAT, KahanSum, PrecisionValue, rational_str
@@ -52,34 +52,37 @@ def _reciprocals(poly, x: int, mode: str) -> list:
     return [None, None] + [one / v for v in poly.values(2, x)]
 
 
-def sigma_chain(poly, x: int, depth: int, mode: str = EXACT) -> PrecisionValue:
-    """Unsigned magnitude of the depth-d term, by backward suffix DP.
+def _suffix_dp(poly, x: int, mode: str, first: int = 2):
+    """Magnitudes of depths first, first + 1, ..., one DP step per next()
+    after the first.  E_m(t) counts (weighted) strictly increasing chains of
+    length m inside [t, x]: E_0 = 1, E_m(t) = E_m(t+1) + a_t * E_{m-1}(t+1).
+    A depth-d chain is a_i times a chain of length d - 1 inside [i, x], so
+    the magnitude is sum_i a_i * E_{d-1}(i), and 0 from d = x + 1 on."""
+    a = _reciprocals(poly, x, mode)
+    # E[t] for the current chain length m, indices 2..x+1
+    e = [_number(mode, 1)] * (x + 2)
+    for d in count(2):
+        new = [_number(mode)] * (x + 2)
+        for t in range(x, 1, -1):
+            new[t] = new[t + 1] + a[t] * e[t + 1]
+        e = new
+        if d >= first:
+            total = _number(mode)
+            for i in range(x, 1, -1):  # not sum(): it compensates floats from 3.12 on
+                total = total + a[i] * e[i]
+            yield _wrap(mode, total)
 
-    E_m(t) counts (weighted) strictly increasing chains of length m inside
-    [t, x]: E_0 = 1, E_m(t) = E_m(t+1) + a_t * E_{m-1}(t+1).  A depth-d
-    chain is a_i times a chain of length d - 1 inside [i, x], so the result
-    is sum_i a_i * E_{d-1}(i): d - 1 steps, O(x * d) operations.
-    """
+
+def sigma_chain(poly, x: int, depth: int, mode: str = EXACT) -> PrecisionValue:
+    """Unsigned magnitude of the depth-d term, by backward suffix DP from
+    E_0: d - 1 steps of _suffix_dp, O(x * d) operations."""
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
     if depth < 2:
         raise ValueError(f"need depth >= 2, got {depth}")
-    zero = _number(mode)
     if depth > x:  # the deepest chain, (2, 2, 3, 4, ..., x), has depth x
-        return _wrap(mode, zero)
-
-    a = _reciprocals(poly, x, mode)
-    # E[t] for the current chain length m, indices 2..x+1
-    e = [_number(mode, 1)] * (x + 2)
-    for _ in range(depth - 1):
-        new = [zero] * (x + 2)
-        for t in range(x, 1, -1):
-            new[t] = new[t + 1] + a[t] * e[t + 1]
-        e = new
-    total = zero
-    for i in range(x, 1, -1):
-        total = total + a[i] * e[i]
-    return _wrap(mode, total)
+        return _wrap(mode, _number(mode))
+    return next(_suffix_dp(poly, x, mode, depth))
 
 
 MSeriesTerm = namedtuple("MSeriesTerm", "depth sign magnitude")
@@ -143,18 +146,23 @@ def mseries_literal(
     """Signed sum over depths 2..max_depth of the literal series.
 
     max_depth None means full depth, the largest depth with a nonzero
-    chain for this x.  In float mode the depth loop stops early once two
-    consecutive term magnitudes fall below 1e-16 of the running sum.
+    chain for this x.  Float mode reads every depth from one _suffix_dp and
+    stops once two consecutive magnitudes fall below 1e-16 of the running sum.
     """
+    if x < 2:
+        raise ValueError(f"need x >= 2, got {x}")
     if max_depth is None:
         max_depth = x
     if max_depth < 2:
         raise ValueError(f"need max_depth >= 2, got {max_depth}")
+    if mode == FLOAT:
+        mags = _suffix_dp(poly, x, mode)
+    else:  # exact: ROADMAP item 3's integer tree; a sweep lifts series peak_rss_mb ~50% (item 1)
+        mags = (sigma_chain(poly, x, d, mode) for d in count(2))
     magnitudes = []
     running = 0.0
     tiny_streak = 0
-    for d in range(2, max_depth + 1):
-        mag = sigma_chain(poly, x, d, mode)
+    for d, mag in zip(range(2, max_depth + 1), mags):
         magnitudes.append((d, mag))
         if mode == FLOAT:
             running += (-1) ** (d - 1) * mag.value

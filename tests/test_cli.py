@@ -295,12 +295,21 @@ class TestBadInputExitCodes:
         (("table1", "--limits", "1,a"), "--limits takes comma-separated integers, got '1,a'"),
         (("table2", "--powers", "2,x"), "--powers takes comma-separated integers, got '2,x'"),
         (("mseries", "--poly", "shell:3", "--depth", "3.0"),
-         """--depth takes an integer or "full", got '3.0'"""),
-    ], ids=["limits", "powers", "depth"])
+         """--depth takes an integer >= 2 or "full", got '3.0'"""),
+        (("mseries", "--poly", "shell:3", "--x", "3", "--depth", "0"),
+         """--depth takes an integer >= 2 or "full", got '0'"""),
+        (("compare", "--poly", "shell:3", "--x", "3", "--depth", "-3"),
+         """--depth takes an integer >= 2 or "full", got '-3'"""),
+    ], ids=["limits", "powers", "depth", "depth_zero", "depth_negative"])
     def test_bad_flag_text_names_the_flag_and_its_form(self, capsys, argv, message):
         # argparse names --x in its own errors; these flags are read after it
         assert run(list(argv)) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_x_below_two_is_checked_before_the_full_depth(self, capsys):
+        # full depth is x, so a depth check first would report max_depth = 1
+        assert run(["mseries", "--poly", "shell:3", "--x", "1"]) == 2
+        assert capsys.readouterr().err == "error: need x >= 2, got 1\n"
 
     def test_limit_below_one(self, capsys):
         assert self.run_err(capsys, "figure-data", "--limits", "0,5") == 2
@@ -323,7 +332,7 @@ class TestBadInputExitCodes:
         )
 
     @pytest.mark.parametrize("key, value", [("precision", "bogus"), ("precision", None),
-                                            ("format", "xml")])
+                                            ("format", "xml"), ("max_depth", 1)])
     def test_config_choice_outside_flag_choices(self, capsys, tmp_path, key, value):
         cfg = self.config(tmp_path, limits=[3], **{key: value})
         assert self.run_err(capsys, "residual", "--config", cfg) == 2

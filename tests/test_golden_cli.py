@@ -95,6 +95,14 @@ CASES = {
         )
         for mode in ("exact", "float")
     },
+    # the series benchmark's float commands at seed 0; both files were
+    # written while float mode ran sigma_chain from E_0 at every depth
+    "compare_float_x2993": (
+        "compare", "--poly", "shell:3", "--x", "2993", "--depth", "full", "--float",
+    ),
+    "mseries_full_float_x1004": (
+        "mseries", "--poly", "shell:2", "--x", "1004", "--depth", "full", "--float",
+    ),
 }
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from test_exact_oracle import SPECS
 
 import nonsieve.mseries
@@ -266,23 +266,31 @@ class TestFullDepthPath:
 
     @pytest.mark.parametrize("depth, mode", [(None, FLOAT), (20, FLOAT), (6, EXACT)])
     def test_float_and_truncated_compare_run_the_dp(self, monkeypatch, depth, mode):
-        calls = []
-        real = nonsieve.mseries.sigma_chain
+        # Each _suffix_dp sweep starts at E_0 and takes first - 1 DP steps to
+        # its first magnitude, then one step per further magnitude.
+        depths = len(float_series_reference(prime_shell(3), 8, depth or 8)[0])
+        sweeps, steps = [], []
+        real = nonsieve.mseries._suffix_dp
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def counted(poly, x, dp_mode, first=2):
+            sweeps.append(first)
+            for i, mag in enumerate(real(poly, x, dp_mode, first)):
+                steps.append(first - 1 if i == 0 else 1)
+                yield mag
 
-        monkeypatch.setattr(nonsieve.mseries, "sigma_chain", counted)
+        monkeypatch.setattr(nonsieve.mseries, "_suffix_dp", counted)
         compare_to_residual(prime_shell(3), 8, depth, mode)
-        assert calls
+        if mode == FLOAT:  # one sweep, one step per depth that mseries prints
+            assert sweeps == [2] and len(steps) == sum(steps) == depths
+        else:  # one sigma_chain per depth, each from E_0
+            assert sweeps == [2, 3, 4, 5, 6] and sum(steps) == 1 + 2 + 3 + 4 + 5
 
     @pytest.mark.parametrize(
         "poly, x, depth, error, text",
         [
-            (integers(), 1, None, ValueError, "need max_depth >= 2, got 1"),
+            (integers(), 1, None, ValueError, "need x >= 2, got 1"),
             (integers(), 1, 5, ValueError, "need x >= 2, got 1"),
-            (integers(), 1, 1, ValueError, "need max_depth >= 2, got 1"),
+            (integers(), 1, 1, ValueError, "need x >= 2, got 1"),
             (parse_poly_spec("3"), 5, None, NotMonotoneError, "3 is not increasing at n=1"),
             (parse_poly_spec("5,-6,2"), 5, None, NotMonotoneError,
              "5,-6,2 is not increasing at n=1"),
@@ -291,6 +299,7 @@ class TestFullDepthPath:
              "5,-2: f(3) = -1 < 1"),
             (IntegerPolynomial((5, -2), "5,-2"), 4, 9, NonIntegerValuedError,
              "5,-2: f(3) = -1 < 1"),
+            (integers(), 5, 1, ValueError, "need max_depth >= 2, got 1"),
         ],
     )
     def test_errors_match_the_dp(self, poly, x, depth, error, text):
@@ -320,7 +329,12 @@ def hexes(*values):
 
 
 # n^2 - 3n + 3 is left out: it repeats the unit value, so the residual rejects it.
+# The examples are the series benchmark's float commands at seed 0, and a
+# depth above x, where the sweep runs on through exact zeros to its stop.
 @settings(max_examples=60, deadline=None)
+@example(spec="shell:2", x=1004, depth=None)
+@example(spec="shell:3", x=2993, depth=None)
+@example(spec="shell:3", x=8, depth=20)
 @given(
     spec=st.sampled_from([s for s in SPECS if s != "3,-3,1"]),
     x=st.integers(2, 60),
