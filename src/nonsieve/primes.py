@@ -1,16 +1,17 @@
 """Primality of polynomial outputs and the log-density sum.
 
-is_prime is deterministic for the whole 64-bit range.  Its Miller-Rabin
-witnesses are the first k primes, with k chosen by the size of the value:
-below the smallest strong pseudoprime to the first k prime bases, those k
-bases decide primality (Jaeschke, "On strong pseudoprimes to several
-bases", Math. Comp. 1993; Sorenson & Webster, "Strong pseudoprimes to
-twelve prime bases", Math. Comp. 2017, arXiv 2015).
+is_prime is deterministic for the whole 64-bit range.  After trial
+division by the primes <= 37, which decides every v < 41**2, it runs BPSW:
+a strong probable prime test to base 2, then a strong Lucas test with
+Selfridge's parameters (Baillie & Wagstaff, "Lucas pseudoprimes", Math.
+Comp. 1980; Pomerance, Selfridge & Wagstaff, "The pseudoprimes to
+25 * 10^9", Math. Comp. 1980).  No composite below 2**64 passes both:
+Feitsma and Galway listed every base-2 strong pseudoprime below 2**64, and
+none of them is a strong Lucas probable prime.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import namedtuple
 from functools import partial
 from itertools import compress
@@ -22,28 +23,6 @@ from .polynomial import IntegerPolynomial, shell_coefficients
 _U64 = 1 << 64
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# psi_k, the smallest strong pseudoprime to all of the first k prime bases,
-# for the k used below: the bases _SMALL_PRIMES[:k] are deterministic for
-# every v < psi_k.  psi_8 = psi_7 and psi_10 = psi_11 = psi_9, so k = 8, 10
-# and 11 gain nothing; psi_12 > 2**64, so the first 12 primes cover the rest.
-_PSI = (
-    (2047, 1),
-    (1373653, 2),
-    (25326001, 3),
-    (3215031751, 4),
-    (2152302898747, 5),
-    (3474749660383, 6),
-    (341550071728321, 7),
-    (3825123056546413051, 9),
-)
-_BOUNDS = tuple(bound for bound, _ in _PSI)
-_BASE_SETS = tuple(_SMALL_PRIMES[:k] for _, k in _PSI) + (_SMALL_PRIMES,)
-
-
-def bases_for(v: int) -> tuple[int, ...]:
-    """The Miller-Rabin bases that decide primality of v < 2**64."""
-    return _BASE_SETS[bisect_right(_BOUNDS, v)]
 
 
 def is_prime(v: int) -> bool:
@@ -59,7 +38,12 @@ def is_prime(v: int) -> bool:
             return True
         if v % p == 0:
             return False
-    return strong_probable_prime(v, bases_for(v))
+    return v < 41 * 41 or _bpsw(v)  # with no prime factor <= 37, v < 41**2 is prime
+
+
+def _bpsw(v: int) -> bool:
+    """BPSW for odd v >= 5: exact below 2**64."""
+    return strong_probable_prime(v, (2,)) and _strong_lucas(v)
 
 
 def strong_probable_prime(v: int, bases) -> bool:
@@ -81,6 +65,61 @@ def strong_probable_prime(v: int, bases) -> bool:
         else:
             return False
     return True
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(v: int) -> bool:
+    """True when odd v > 1 is a strong Lucas probable prime with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/v) = -1, P = 1
+    and Q = (1 - D)/4.  With v + 1 = d 2**s, d odd, that is U_d = 0 or
+    V_{d 2**r} = 0 (mod v) for some 0 <= r < s (Baillie & Wagstaff 1980).
+    A square v has no such D, so it is caught first."""
+    if isqrt(v) ** 2 == v:
+        return False
+    big_d = 5
+    while (j := _jacobi(big_d, v)) != -1:
+        if j == 0 and abs(big_d) != v:
+            return False
+        big_d = -big_d - 2 if big_d > 0 else -big_d + 2
+    q = (1 - big_d) // 4 % v
+    d, s = v + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # (V_k, V_{k+1}, Q**k) from k = 0 up the bits of d, with P = 1:
+    # V_2k = V_k**2 - 2 Q**k and V_2k+1 = V_k V_k+1 - Q**k.
+    vk, vk1, qk = 2, 1, 1
+    for bit in bin(d)[2:]:
+        if bit == "1":
+            vk, vk1 = (vk * vk1 - qk) % v, (vk1 * vk1 - 2 * qk * q) % v
+            qk = qk * qk * q % v
+        else:
+            vk, vk1 = (vk * vk - 2 * qk) % v, (vk * vk1 - qk) % v
+            qk = qk * qk % v
+    # D U_d = 2 V_{d+1} - P V_d, and D is a unit mod v.
+    if vk == 0 or (2 * vk1 - vk) % v == 0:
+        return True
+    for _ in range(s - 1):
+        vk = (vk * vk - 2 * qk) % v
+        if vk == 0:
+            return True
+        qk = qk * qk % v
+    return False
 
 
 PrimeCensus = namedtuple(
@@ -173,17 +212,29 @@ def _shell_roots(p: int, q: int):
     1 + 1 / (z - 1).  The z with z**p = 1 form the subgroup of order
     d = gcd(p, q - 1) (Crandall & Pomerance, Prime Numbers, sec. 2.2), so
     q = 2, q = p and every q != 1 (mod p) for prime p have no root.  Else
-    g = a**((q-1)/d) for a = 2, 3, ... until g**k != 1 for k = 1..d-1, and
-    those powers of g give the roots."""
+    g = a**((q-1)/d) for a = 2, 3, ... until g**k != 1 for k <= d/2 (an
+    order below d divides d), and those powers of g give the roots.  As
+    r(1/z) = 1 - r(z), the z = g**k with k < d/2 give them in pairs r and
+    q + 1 - r, one modular inverse a pair, and for even d, z = g**(d/2) =
+    -1 is its own inverse and gives r = (q + 1)/2."""
     d = gcd(p, q - 1)
     if d == 1:
         return ()
+    e = (q - 1) // d
     for a in range(2, q):  # a primitive root mod q ends the search
-        zs = [pow(a, (q - 1) // d, q)]
-        while len(zs) < d - 1:
-            zs.append(zs[-1] * zs[0] % q)
+        g = pow(a, e, q)
+        zs = [g]
+        while len(zs) < d // 2:
+            zs.append(zs[-1] * g % q)
         if 1 not in zs:
-            return [1 + pow(z - 1, -1, q) for z in zs]
+            break
+    rs = []
+    for z in zs[:(d - 1) // 2]:
+        r = 1 + pow(z - 1, -1, q)
+        rs += r, q + 1 - r
+    if d % 2 == 0:
+        rs.append((q + 1) // 2)
+    return rs
 
 
 def _scanned_roots(poly: IntegerPolynomial, bound: int):
@@ -204,7 +255,10 @@ def _struck(x: int, bound: int, roots) -> bytearray:
     for q in _primes_to(bound):
         for r in roots(q):
             start = r or q
-            struck[start::q] = b"\1" * len(range(start, x + 1, q))
+            if start + q <= x:
+                struck[start::q] = b"\1" * len(range(start, x + 1, q))
+            elif start <= x:  # the only index <= x, as for every q > x
+                struck[start] = 1
     return struck
 
 
@@ -222,10 +276,10 @@ def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
     Any other f takes B = B1 and reads its roots from f(1..B).  A value
     v <= B or v >= 2**64 goes to is_prime (OutOfRangeError at the first
     f(n) >= 2**64).  Any other v is composite when struck, prime below
-    (B + 1)**2, and else goes straight to Miller-Rabin: every prime <= 37
-    is sieved, so is_prime's trial division would pass it.  So for degree
-    <= 2 Miller-Rabin runs only where the 4 X cap binds, and for a shell
-    of degree >= 3 only from (4 X + 1)**2 on.
+    (B + 1)**2, and else goes straight to BPSW: every prime <= 37 is
+    sieved, so is_prime's trial division would pass it.  So for degree
+    <= 2 BPSW runs only where the 4 X cap binds, and for a shell of
+    degree >= 3 only from (4 X + 1)**2 on.
     Unit outputs f(n) = 1 with n >= 2 are left out of the log sum and counted
     in skipped_units.
     The log sum is KahanSum.add written out on locals, operation for
@@ -262,7 +316,7 @@ def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
     for x in x_list:
         for n, v in zip(range(n + 1, x + 1), values):
             if bound < v < _U64:
-                if not struck[n] and (v < square or strong_probable_prime(v, bases_for(v))):
+                if not struck[n] and (v < square or _bpsw(v)):
                     count += 1
             elif is_prime(v):
                 count += 1

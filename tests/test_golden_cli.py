@@ -53,6 +53,15 @@ CASES = {
     "table2_float_shells457": (
         "table2", "--precision", "float", "--powers", "4,5,7", "--limits", "1000,1150",
     ),
+    # the last shell values below 2**64: f(1175) for p = 7 and f(66) for
+    # p = 11, where BPSW meets the top of its range; both files were
+    # written while the census ran Miller-Rabin with 7 to 12 bases
+    "table2_float_shell7_x1175": (
+        "table2", "--precision", "float", "--powers", "7", "--limits", "1000,1175",
+    ),
+    "table2_float_shell11_x66": (
+        "table2", "--precision", "float", "--powers", "11", "--limits", "60,66",
+    ),
     # exact cells at sizes where a binary-splitting tree per scan took most
     # of the time; all three files were written while each scan built one
     "table2_exact_x1000": ("table2", "--powers", "2,3,5,7", "--limits", "100,200,500,1000"),

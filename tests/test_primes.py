@@ -23,13 +23,14 @@ from nonsieve import (
 )
 from nonsieve import primes
 from nonsieve.primes import (
-    PrimeCensus, _roots_mod, _shell_roots, bases_for, strong_probable_prime,
+    PrimeCensus, _roots_mod, _shell_roots, _strong_lucas, strong_probable_prime,
 )
 
 FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # psi_k, the smallest strong pseudoprime to the first k prime bases, with
-# k and a factorization: the witness table's bounds.
+# k and a factorization: the bounds of the Miller-Rabin witness table that
+# BPSW replaced.
 PSI = (
     (2047, 1, (23, 89)),
     (1373653, 2, (829, 1657)),
@@ -40,6 +41,12 @@ PSI = (
     (341550071728321, 7, (10670053, 32010157)),
     (3825123056546413051, 9, (149491, 747451, 34233211)),
 )
+
+# The strong pseudoprimes to base 2 below 60000 (OEIS A001262), and the
+# strong Lucas pseudoprimes with Selfridge's parameters below 60000 (OEIS
+# A217255): each fools one half of BPSW, and the other half rejects it.
+BASE_TWO_PSEUDOPRIMES = (2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633)
+LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519)
 
 
 def miller_rabin_all_twelve(v):
@@ -364,30 +371,41 @@ def test_closed_form_roots_equal_brute_force(coeffs, shape, q):
 
 
 def test_degree_two_census_needs_no_miller_rabin(monkeypatch):
-    # Values up to the sieve bound go to is_prime, which runs its own
-    # Miller-Rabin; trial division stands in for it, so the count is the
-    # walk's own calls, on the values above the bound.
+    # Values up to the sieve bound go to is_prime, which runs its own BPSW;
+    # trial division stands in for it, so the counts are the walk's own
+    # tests, on the values above the bound.
     xs = [100, 200, 9951, 29976]
     polys = [parse_poly_spec(spec) for spec in ("integers", "shell:2", "shell:3")]
     expected = [census_oracle(poly, xs) for poly in polys]
-    calls = []
+    calls, passed, lucas_calls = [], [], []
 
     def counted(v, bases):
+        assert bases == (2,)
         calls.append(v)
-        return strong_probable_prime(v, bases)
+        if strong_probable_prime(v, bases):
+            passed.append(v)
+            return True
+        return False
+
+    def counted_lucas(v):
+        lucas_calls.append(v)
+        return _strong_lucas(v)
 
     monkeypatch.setattr(primes, "strong_probable_prime", counted)
+    monkeypatch.setattr(primes, "_strong_lucas", counted_lucas)
     monkeypatch.setattr(primes, "is_prime", is_prime_trial_division)
     for poly, rows in zip(polys, expected):
         assert census_scan(poly, xs) == rows
-        assert calls == [], poly.label
+        assert calls == [] and lucas_calls == [], poly.label
     census_scan(parse_poly_spec("10100,-200,1"), [150])  # the bound is from f(1) > f(150)
-    assert calls == []
-    # A prime shell sieves to B2 = 4 X < isqrt(f(X)) here, so Miller-Rabin
-    # sees only values from (B2 + 1)**2 on.
+    assert calls == [] and lucas_calls == []
+    # A prime shell sieves to B2 = 4 X < isqrt(f(X)) here, so BPSW sees
+    # only values from (B2 + 1)**2 on, and its Lucas half only those that
+    # passed base 2.
     x = 5980
     census_scan(prime_shell(5), [x])
     assert calls and min(calls) >= (4 * x + 1) ** 2
+    assert lucas_calls == passed and len(passed) < len(calls)
 
 
 def brute_shell_roots(p, q):
@@ -452,15 +470,42 @@ class TestWitnessTable:
         assert math.prod(factors) == psi and all(f > 1 for f in factors)
         # the first k prime bases do not see through psi_k ...
         assert strong_probable_prime(psi, FIRST_PRIMES[:k])
-        # ... so psi_k itself is decided by the next, larger set
-        assert len(bases_for(psi)) > k and len(bases_for(psi - 1)) == k
+        # ... and BPSW does
         assert not is_prime(psi)
 
-    def test_bases_are_smallest_prime_prefixes(self):
-        assert bases_for(2) == (2,)
-        assert bases_for(2**64 - 1) == FIRST_PRIMES
-        for psi, k, _ in PSI:
-            assert bases_for(psi - 1) == FIRST_PRIMES[:k]
+
+class TestBPSWVectors:
+    @pytest.mark.parametrize("v", BASE_TWO_PSEUDOPRIMES)
+    def test_base_two_pseudoprime_is_caught_by_lucas(self, v):
+        assert strong_probable_prime(v, (2,))
+        assert not _strong_lucas(v)
+        assert not is_prime(v)
+
+    @pytest.mark.parametrize("v", LUCAS_PSEUDOPRIMES)
+    def test_lucas_pseudoprime_is_caught_by_base_two(self, v):
+        assert _strong_lucas(v)
+        assert not strong_probable_prime(v, (2,))
+        assert not is_prime(v)
+
+    def test_each_half_passes_every_prime_and_no_other_composite(self):
+        # below 60000; the Lucas half meets D = v at v = 5, 7, 11, 13, ...
+        flags = sieve(60000)
+        odd = range(3, 60000, 2)
+        assert [v for v in odd if v > 3 and strong_probable_prime(v, (2,)) != flags[v]] == list(
+            BASE_TWO_PSEUDOPRIMES)
+        assert [v for v in odd if _strong_lucas(v) != flags[v]] == list(LUCAS_PSEUDOPRIMES)
+
+    def test_square_ends_the_parameter_search(self):
+        # a square v has (D/v) = 1 or 0 for every D: without the square
+        # check the search for (D/v) = -1 would take 2**31 steps, to |D| = v**0.5
+        v = (2**32 - 5) ** 2  # 2**32 - 5 is prime, so no small factor
+        assert not _strong_lucas(v)
+        assert not is_prime(v)
+
+    @pytest.mark.parametrize("v", [2**61 - 1, 2**64 - 59])
+    def test_large_primes_are_accepted(self, v):
+        assert _strong_lucas(v)
+        assert is_prime(v)
 
 
 @settings(max_examples=400, deadline=None)
@@ -469,5 +514,5 @@ class TestWitnessTable:
     st.sampled_from([psi for psi, _, _ in PSI]).flatmap(
         lambda psi: st.integers(psi - 1000, psi + 1000)),
 ))
-def test_size_picked_bases_agree_with_all_twelve(v):
+def test_bpsw_agrees_with_all_twelve_bases(v):
     assert is_prime(v) == miller_rabin_all_twelve(v)
