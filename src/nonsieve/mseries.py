@@ -14,7 +14,6 @@ instead of correcting it.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations, count
 
 from .errors import LimitsTooLargeError
@@ -30,7 +29,11 @@ MATCH_TOLERANCE = 1e-12  # largest |deviation| compare_to_residual calls a MATCH
 
 def _number(mode: str, value: int = 0):
     """value in the mode's number type: a Fraction, or a float in float mode."""
-    return Fraction(value) if mode == EXACT else float(value)
+    if mode != EXACT:
+        return float(value)
+    from fractions import Fraction
+
+    return Fraction(value)
 
 
 def _raw(v: PrecisionValue):
@@ -182,6 +185,8 @@ def _full_depth_sum(poly, x: int) -> PrecisionValue:
     (Macdonald, Symmetric Functions, I.2) sums the depths to -sum_j a_j S_j T_j,
     S_j = sum_{i=2}^{j} a_i, T_j = prod_{k>j} (1 - a_k), evaluated Horner-style.
     """
+    from fractions import Fraction
+
     s = total = Fraction(0)
     for a in _reciprocals(poly, x, EXACT)[2:]:
         s += a
@@ -226,6 +231,8 @@ def expansion_oracle(poly, x: int) -> PrecisionValue:
     the fully eliminated form the step-by-step procedure converges to.
     Equals residual(...).m_value by construction; exact mode only.
     """
+    from fractions import Fraction
+
     if x > _EXPANSION_MAX_X:
         raise LimitsTooLargeError(f"expansion limited to x <= {_EXPANSION_MAX_X}")
     leading = 1 if poly(1) > 1 else 0

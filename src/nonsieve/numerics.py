@@ -5,6 +5,10 @@ Exact mode stores an integer numerator/denominator pair, reduced to a
 for every tabulated case.  Float mode carries a binary64 value plus the
 running compensation of a Neumaier sum (`two_sum`, `KahanSum`); the
 residual adds only terms of one sign, so each sum stays within a few ulps.
+A float value's decimal is the exact sum of its two floats' integer
+ratios, rounded once.  `fractions` is imported only by the calls that
+form a Fraction (`exact`, `rational` and so `rational_str`), so
+importing this module loads neither it nor the `decimal` it imports.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import operator
 import sys
 from collections.abc import Callable
-from fractions import Fraction
 
 from .errors import ExactRationalUnsupportedError, OutOfRangeError
 
@@ -116,6 +119,8 @@ class PrecisionValue:
 
     @staticmethod
     def exact(value: Fraction | int) -> "PrecisionValue":
+        from fractions import Fraction
+
         r = Fraction(value)
         pv = PrecisionValue.ratio(r.numerator, r.denominator)
         pv._rational = r
@@ -149,6 +154,8 @@ class PrecisionValue:
         if self.mode != EXACT:
             return None
         if self._rational is None:
+            from fractions import Fraction
+
             self._rational = Fraction(*self.pair)
         return self._rational
 
@@ -182,8 +189,9 @@ class PrecisionValue:
             # Signed round-half-even is monotone; an enclosure that straddles
             # 0 gives "-0..." and "0..." at its ends and so is never read.
             return self._rounded(lambda num, den: _fixed_point(num, den, places))
-        total = Fraction(self.approx) + Fraction(self.comp)
-        return _fixed_point(total.numerator, total.denominator, places)
+        an, ad = self.approx.as_integer_ratio()
+        cn, cd = self.comp.as_integer_ratio()
+        return _fixed_point(an * cd + cn * ad, ad * cd, places)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.mode == EXACT:

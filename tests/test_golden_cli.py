@@ -7,6 +7,10 @@ single byte of any of them fails here.
 """
 
 import io
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,3 +125,57 @@ def test_stdout_matches_golden(name, monkeypatch):
     out = io.StringIO()
     assert run(list(CASES[name]), stdout=out) == 0
     assert out.getvalue() == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+# Run in one fresh interpreter: the float commands and the exact tables read
+# no Fraction, and the exact residual after them imports fractions itself.
+FRESH_PROCESS = (
+    "table2_float_x100000",
+    "compare_float_x2993",
+    "mseries_full_float_x1004",
+    "residual_float_binary64_table",
+    "readme_table1",
+    "readme_figure_data",
+)
+
+FRESH_PROCESS_CODE = """
+import io, json, sys
+sys.path.insert(0, {src!r})
+from nonsieve.cli import run
+
+def loaded():
+    return sorted({{"fractions", "decimal"}} & set(sys.modules))
+
+report = {{}}
+for name, argv in {cases!r}:
+    out = io.StringIO()
+    report[name] = (run(list(argv), stdout=out), out.getvalue(), loaded())
+out = io.StringIO()
+report["readme_residual"] = (run({residual!r}, stdout=out), out.getvalue(), loaded())
+print(json.dumps(report))
+"""
+
+
+def test_float_commands_and_exact_tables_load_no_fractions():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = FRESH_PROCESS_CODE.format(
+        src=str(src),
+        cases=[(name, CASES[name]) for name in FRESH_PROCESS],
+        residual=list(CASES["readme_residual"]),
+    )
+    env = {k: v for k, v in os.environ.items() if k != "NONSIEVE_PRECISION"}
+    # -S: site may import modules itself; -I: no user site or PYTHON* variables
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    report = json.loads(proc.stdout)
+    for name in FRESH_PROCESS:
+        status, stdout, loaded = report[name]
+        assert status == 0, name
+        assert stdout == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), name
+        assert loaded == [], name
+    status, stdout, loaded = report["readme_residual"]
+    assert status == 0
+    assert stdout == (GOLDEN / "readme_residual.txt").read_text(encoding="utf-8")
+    assert "fractions" in loaded  # the cold import inside the command

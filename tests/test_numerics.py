@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nonsieve import KahanSum, CompensatedProduct, PrecisionValue
 from nonsieve.numerics import _fixed_point, format_float, two_prod, two_sum
@@ -222,6 +222,45 @@ def test_float_decimals_match_a_half_even_oracle(pair):
     near_tie = distance_to_tie(exact, places) <= Fraction(1, 10**50)
     if not near_tie and not (negative_zero(approx) and negative_zero(comp)):
         assert got == old_float_decimal(approx, comp, places)
+
+
+any_float = st.floats(allow_nan=False, allow_infinity=False)
+subnormal = st.builds(
+    lambda sign, k: sign * math.ldexp(k, -1074),
+    st.sampled_from((1.0, -1.0)),
+    st.integers(1, 2**52 - 1),
+)
+signed_zero = st.sampled_from((0.0, -0.0))
+
+
+@st.composite
+def compensated_pairs(draw):
+    """(approx, comp): any finite floats, subnormals and signed zeros, and
+    comp far below one ulp of approx or of the opposite sign."""
+    approx = draw(st.one_of(any_float, subnormal, signed_zero))
+    below_ulp = st.builds(
+        lambda sign, e: sign * math.ulp(approx) * 2.0**-e,
+        st.sampled_from((1.0, -1.0)),
+        st.integers(1, 80),
+    )
+    opposite = any_float.map(lambda c: -math.copysign(abs(c), approx))
+    comp = draw(st.one_of(any_float, subnormal, signed_zero, below_ulp, opposite))
+    return approx, comp
+
+
+@settings(max_examples=600)
+@given(compensated_pairs(), st.integers(0, 20))
+@example((0.5, 0.0), 0)  # exact half-even ties: "0", "2", "-0" and "0.12"
+@example((2.5, 0.0), 0)
+@example((-0.5, 0.0), 0)
+@example((0.125, 0.0), 2)
+@example((0.125, -0.0), 2)
+@example((-0.0, -0.0), 3)
+def test_float_decimal_rounds_the_fraction_sum(pair, places):
+    approx, comp = pair
+    total = Fraction(approx) + Fraction(comp)
+    expected = _fixed_point(total.numerator, total.denominator, places)
+    assert PrecisionValue.compensated(approx, comp).decimal_str(places) == expected
 
 
 def enclosed_m(zn, zd, pn, pd):

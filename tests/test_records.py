@@ -1,5 +1,5 @@
 """The result records are immutable namedtuples, and importing the package
-loads neither dataclasses nor typing."""
+loads none of dataclasses, typing, fractions and decimal."""
 
 import subprocess
 import sys
@@ -19,16 +19,26 @@ from nonsieve.reference import check_m
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_import_loads_no_dataclasses_or_typing():
+def loaded_by_import(names: set[str]) -> str:
+    """Those of names that a fresh interpreter has loaded after `import nonsieve`."""
     # -S: site may import typing itself; -I: no user site or PYTHON* variables
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import nonsieve; "
-        "print(*sorted({'dataclasses', 'typing', 'inspect', 'ast'} & set(sys.modules)))"
+        f"print(*sorted({names!r} & set(sys.modules)))"
     )
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == ""
+    ).stdout.strip()
+
+
+def test_import_loads_no_dataclasses_or_typing():
+    assert loaded_by_import({"dataclasses", "typing", "inspect", "ast"}) == ""
+
+
+def test_import_loads_no_fractions_or_decimal():
+    # fractions imports decimal and numbers; only the calls that form a
+    # Fraction import it
+    assert loaded_by_import({"fractions", "decimal", "numbers"}) == ""
 
 
 def records():
