@@ -245,13 +245,12 @@ def _apply_config(cfg: RunConfig, data: dict) -> None:
         if key in data:
             try:
                 setattr(cfg, key, convert(data[key]))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge int
                 raise ValueError(f"config {key!r}: bad value {data[key]!r} ({exc})") from exc
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser; given a command, only its subparser gets the arguments,
-    and the other names stay for usage and errors."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser: one command, then the options that every command takes."""
     parser = argparse.ArgumentParser(
         prog="nonsieve",
         description=(
@@ -259,26 +258,22 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "alternating residual series over integer-valued polynomials."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sp = sub.add_parser(name, add_help=command in (None, name))
-        if not sp.add_help:  # a command not run needs only its name
-            continue
-        sp.add_argument("--poly", help='polynomial spec: "integers", "shell:p", or "1,-3,3"')
-        sp.add_argument("--powers", help="comma-separated shell powers")
-        sp.add_argument("--limits", help="comma-separated ascending truncation limits")
-        sp.add_argument("--x", type=int, help="single truncation limit (shorthand)")
-        sp.add_argument("--s", type=float, help="exponent, default 1")
-        sp.add_argument("--depth", help='chain depth: an integer or "full"')
-        precision = sp.add_mutually_exclusive_group()
-        precision.add_argument("--precision", choices=PRECISIONS)
-        precision.add_argument("--exact", dest="precision", action="store_const", const=EXACT,
-                               help="same as --precision exact")
-        precision.add_argument("--float", dest="precision", action="store_const", const=FLOAT,
-                               help="same as --precision float")
-        sp.add_argument("--format", choices=FORMATS)
-        sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--config", help="JSON config file; flags override it")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--poly", help='polynomial spec: "integers", "shell:p", or "1,-3,3"')
+    parser.add_argument("--powers", help="comma-separated shell powers")
+    parser.add_argument("--limits", help="comma-separated ascending truncation limits")
+    parser.add_argument("--x", type=int, help="single truncation limit (shorthand)")
+    parser.add_argument("--s", type=float, help="exponent, default 1")
+    parser.add_argument("--depth", help='chain depth: an integer or "full"')
+    precision = parser.add_mutually_exclusive_group()
+    precision.add_argument("--precision", choices=PRECISIONS)
+    precision.add_argument("--exact", dest="precision", action="store_const", const=EXACT,
+                           help="same as --precision exact")
+    precision.add_argument("--float", dest="precision", action="store_const", const=FLOAT,
+                           help="same as --precision float")
+    parser.add_argument("--format", choices=FORMATS)
+    parser.add_argument("--out", help="output path (default stdout)")
+    parser.add_argument("--config", help="JSON config file; flags override it")
     return parser
 
 
@@ -312,6 +307,8 @@ def _build_config(args) -> RunConfig:
         raise ValueError(f"limits must be strictly ascending: {cfg.limits}")
     if not cfg.limits:
         raise ValueError("at least one limit is required")
+    if cfg.limits[-1] >= sys.maxsize:  # the census's sieve holds limit + 1 flags
+        raise ValueError(f"limit {cfg.limits[-1]} is too large; limits must be below {sys.maxsize}")
     if not math.isfinite(cfg.s):
         raise ValueError(f"exponent must be finite, got {cfg.s}")
     if cfg.s < 1:
@@ -320,10 +317,7 @@ def _build_config(args) -> RunConfig:
 
 
 def run(argv=None, stdout=None) -> int:
-    stdout = stdout if stdout is not None else sys.stdout
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _build_config(args)
         handler, columns = COMMANDS[args.command]
@@ -332,7 +326,7 @@ def run(argv=None, stdout=None) -> int:
             with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
                 _emit(payload, columns, cfg.format, fh)
         else:
-            _emit(payload, columns, cfg.format, stdout)
+            _emit(payload, columns, cfg.format, stdout or sys.stdout)
     except BoundViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -127,7 +127,7 @@ PrimeCensus = namedtuple(
 )
 
 
-def _primes_to(bound: int, segment: int = 1 << 16):
+def _primes_to(bound: int, segment: int = 1 << 15):
     """The primes q <= bound, from a segmented sieve of Eratosthenes: a
     bytearray sieve gives the base primes up to isqrt(bound), and they
     strike the rest one window of `segment` flags at a time, so no more
@@ -248,18 +248,21 @@ def _scanned_roots(poly: IntegerPolynomial, bound: int):
     return lambda q: [r for r in range(1, q + 1) if low[r] % q == 0]
 
 
-def _struck(x: int, bound: int, roots) -> bytearray:
-    """struck[n] = 1 for each n <= x where some prime q <= bound divides
-    f(n), given roots(q), the roots of f mod q."""
+def _struck(x: int, bound: int, roots):
+    """struck[n] = 1 for each n <= x where some prime q <= bound divides f(n),
+    given roots(q), the roots of f mod q; and those q.  The flags come first,
+    so a limit too large for memory fails before the sieve runs."""
+    from array import array  # off the import path; 4 bytes a prime, where a list takes 36
     struck = bytearray(x + 1)
-    for q in _primes_to(bound):
+    sieve_primes = array("I" if bound < 1 << 32 else "Q", _primes_to(bound))
+    for q in sieve_primes:
         for r in roots(q):
             start = r or q
             if start + q <= x:
                 struck[start::q] = b"\1" * len(range(start, x + 1, q))
             elif start <= x:  # the only index <= x, as for every q > x
                 struck[start] = 1
-    return struck
+    return struck, sieve_primes
 
 
 def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
@@ -274,12 +277,12 @@ def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
     Every f(n) with n <= X is then at most T = max(f(1), f(X)), so B =
     max(B1, min(isqrt(T), 4 X)) with B1 = max(37, min(1000, isqrt(4 X))).
     Any other f takes B = B1 and reads its roots from f(1..B).  A value
-    v <= B or v >= 2**64 goes to is_prime (OutOfRangeError at the first
-    f(n) >= 2**64).  Any other v is composite when struck, prime below
-    (B + 1)**2, and else goes straight to BPSW: every prime <= 37 is
-    sieved, so is_prime's trial division would pass it.  So for degree
-    <= 2 BPSW runs only where the 4 X cap binds, and for a shell of
-    degree >= 3 only from (4 X + 1)**2 on.
+    v <= B is prime when it is among the primes <= B that the sieve strikes
+    with; a v >= 2**64 goes to is_prime (OutOfRangeError at the first).
+    Any other v is composite when struck, prime below (B + 1)**2, and else
+    goes straight to BPSW: every prime <= 37 is sieved, so is_prime's trial
+    division would pass it.  So for degree <= 2 BPSW runs only where the
+    4 X cap binds, and for a shell of degree >= 3 only from (4 X + 1)**2 on.
     Unit outputs f(n) = 1 with n >= 2 are left out of the log sum and counted
     in skipped_units.
     The log sum is KahanSum.add written out on locals, operation for
@@ -306,7 +309,8 @@ def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
         for c in reversed(coeffs):
             top = top * x_max + c  # Horner, never raises
         bound = max(bound, min(isqrt(max(sum(coeffs), top, 0)), 4 * x_max))
-    struck = _struck(x_max, bound, roots or _scanned_roots(poly, bound))
+    from bisect import bisect_right
+    struck, sieve_primes = _struck(x_max, bound, roots or _scanned_roots(poly, bound))
     square = (bound + 1) ** 2
     results = []
     count = skipped = 0
@@ -315,10 +319,11 @@ def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
     n = 0  # the last n walked
     for x in x_list:
         for n, v in zip(range(n + 1, x + 1), values):
-            if bound < v < _U64:
-                if not struck[n] and (v < square or _bpsw(v)):
-                    count += 1
-            elif is_prime(v):
+            if v <= bound:  # v = 1 reads index -1, a prime
+                count += sieve_primes[bisect_right(sieve_primes, v) - 1] == v
+            elif v >= _U64:
+                count += is_prime(v)  # raises OutOfRangeError
+            elif not struck[n] and (v < square or _bpsw(v)):
                 count += 1
             if n >= 2:
                 if v == 1:

@@ -22,6 +22,10 @@ def exit_outcome(capsys, parse, argv):
     return exit_info.value.code, out, err
 
 
+OPTIONS = ("--poly", "--powers", "--limits", "--x", "--s", "--depth", "--precision",
+           "--exact", "--float", "--format", "--out", "--config")
+
+
 @pytest.mark.parametrize("argv", [
     ["--help"],
     ["bogus"],
@@ -33,16 +37,36 @@ def exit_outcome(capsys, parse, argv):
     )),
 ], ids=" ".join)
 def test_per_command_parser_prints_what_the_full_parser_prints(capsys, argv):
-    full = build_parser().parse_args
-    assert exit_outcome(capsys, run, argv) == exit_outcome(capsys, full, argv)
+    # run() prints only what the one parser prints: help and exit 0, or
+    # usage, one error line and exit 2
+    outcome = exit_outcome(capsys, run, argv)
+    assert outcome == exit_outcome(capsys, build_parser().parse_args, argv)
+    code, out, err = outcome
+    if "--help" in argv:
+        assert (code, err) == (0, "") and out.startswith("usage: nonsieve ")
+    else:
+        assert (code, out) == (2, "") and err.startswith("usage: nonsieve ")
+        assert err.splitlines()[-1].startswith("nonsieve: error: ")
+
+
+def test_help_names_every_command_and_option(capsys):
+    code, out, err = exit_outcome(capsys, run, ["--help"])
+    assert code == 0 and err == ""
+    assert all(name in out for name in (*COMMANDS, *OPTIONS))
+    for command in COMMANDS:
+        assert exit_outcome(capsys, run, [command, "--help"]) == (0, out, "")
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_top_level_help_of_a_per_command_parser_is_the_full_parsers(capsys, command):
-    # the parser built for one command gives the others no arguments and no
-    # -h; each command's own --help is compared above
-    per_command, full = build_parser(command).parse_args, build_parser(None).parse_args
-    assert exit_outcome(capsys, per_command, ["--help"]) == exit_outcome(capsys, full, ["--help"])
+def test_every_command_takes_every_option(command):
+    argv = [command, "--poly", "shell:3", "--powers", "2,3", "--limits", "5,8", "--x", "8",
+            "--s", "2", "--depth", "full", "--float", "--format", "json", "--out", "o.csv",
+            "--config", "c.json"]
+    args = vars(build_parser().parse_args(argv))
+    assert args == {"command": command, "poly": "shell:3", "powers": "2,3", "limits": "5,8",
+                    "x": 8, "s": 2.0, "depth": "full", "precision": "float",
+                    "format": "json", "out": "o.csv", "config": "c.json"}
+    assert type(args["x"]) is int and type(args["s"]) is float
 
 
 class TestTable1:
@@ -249,6 +273,9 @@ class TestTableScans:
         assert len(rows) == 12 and rows == alone
 
 
+HUGE = "9" * 30  # above sys.maxsize
+
+
 class TestBadInputExitCodes:
     """Each bad input ends with its documented exit code and one error line."""
 
@@ -286,6 +313,32 @@ class TestBadInputExitCodes:
 
         monkeypatch.setattr("nonsieve.cli.census_scan", census_scan)
         assert self.run_err(capsys, "table2", "--powers", "2", "--limits", "99999999999") == 2
+
+    def test_exponent_too_large_for_a_float_in_config(self, capsys, tmp_path):
+        # float() of a 401-digit int raises OverflowError, not ValueError
+        cfg = self.config(tmp_path, limits=[3], s=10**400)
+        assert run(["residual", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config 's': bad value {10**400} (") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("table1", "--precision", "float", "--limits", HUGE),  # the census's bytearray
+        ("table2", "--limits", f"100,{HUGE}"),
+        ("residual", "--poly", "shell:3", "--float", "--x", HUGE),  # islice
+        ("figure-data", "--limits", HUGE),
+        ("mseries", "--poly", "shell:3", "--x", HUGE),
+        ("compare", "--poly", "shell:3", "--float", "--x", HUGE),
+        ("table1", "--limits", str(sys.maxsize)),  # limit + 1 sieve flags
+    ], ids=["table1", "table2", "residual", "figure-data", "mseries", "compare", "maxsize"])
+    def test_limit_past_sys_maxsize(self, capsys, argv):
+        limit = argv[-1].split(",")[-1]
+        assert run(list(argv)) == 2
+        assert capsys.readouterr() == (
+            "", f"error: limit {limit} is too large; limits must be below {sys.maxsize}\n")
+
+    def test_limit_past_sys_maxsize_in_config(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, limits=[int(HUGE)])
+        assert self.run_err(capsys, "table1", "--precision", "float", "--config", cfg) == 2
 
     def test_missing_config_file_is_an_io_error(self, capsys, tmp_path):
         missing = str(tmp_path / "absent.json")

@@ -371,13 +371,17 @@ def test_closed_form_roots_equal_brute_force(coeffs, shape, q):
 
 
 def test_degree_two_census_needs_no_miller_rabin(monkeypatch):
-    # Values up to the sieve bound go to is_prime, which runs its own BPSW;
-    # trial division stands in for it, so the counts are the walk's own
-    # tests, on the values above the bound.
+    # Values up to the sieve bound are decided by the sieve's own primes and
+    # values at or above 2**64 go to is_prime, which raises; its stand-in
+    # fails on any value below 2**64, so every count is the walk's own.
     xs = [100, 200, 9951, 29976]
     polys = [parse_poly_spec(spec) for spec in ("integers", "shell:2", "shell:3")]
     expected = [census_oracle(poly, xs) for poly in polys]
     calls, passed, lucas_calls = [], [], []
+
+    def is_prime_from_2_64(v):
+        assert v >= 2**64, f"is_prime({v}) below 2**64"
+        return is_prime(v)
 
     def counted(v, bases):
         assert bases == (2,)
@@ -393,7 +397,7 @@ def test_degree_two_census_needs_no_miller_rabin(monkeypatch):
 
     monkeypatch.setattr(primes, "strong_probable_prime", counted)
     monkeypatch.setattr(primes, "_strong_lucas", counted_lucas)
-    monkeypatch.setattr(primes, "is_prime", is_prime_trial_division)
+    monkeypatch.setattr(primes, "is_prime", is_prime_from_2_64)
     for poly, rows in zip(polys, expected):
         assert census_scan(poly, xs) == rows
         assert calls == [] and lucas_calls == [], poly.label
@@ -406,6 +410,8 @@ def test_degree_two_census_needs_no_miller_rabin(monkeypatch):
     census_scan(prime_shell(5), [x])
     assert calls and min(calls) >= (4 * x + 1) ** 2
     assert lucas_calls == passed and len(passed) < len(calls)
+    with pytest.raises(OutOfRangeError, match=str(prime_shell(11)(67))):
+        census_scan(prime_shell(11), [67])  # the stand-in passes f(67) >= 2**64 on
 
 
 def brute_shell_roots(p, q):
