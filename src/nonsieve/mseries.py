@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations, count
 
-from .errors import LimitsTooLargeError
+from .errors import LimitsTooLargeError, OutOfRangeError
 from .numerics import EXACT, FLOAT, KahanSum, PrecisionValue, rational_str
 from .residual import residual
 
@@ -50,9 +50,16 @@ def _wrap(mode: str, total, comp: float = 0.0) -> PrecisionValue:
 
 
 def _reciprocals(poly, x: int, mode: str) -> list:
-    """1/f(n) at index n for n = 2..x; indices 0 and 1 are unused."""
+    """1/f(n) at index n for n = 2..x; indices 0 and 1 are unused.  In float
+    mode an f(n) above the binary64 range raises OutOfRangeError."""
     one = _number(mode, 1)
-    return [None, None] + [one / v for v in poly.values(2, x)]
+    a = [None, None]
+    try:
+        a += (one / v for v in poly.values(2, x))
+    except OverflowError:  # the extend keeps every 1/f(n) before the first
+        raise OutOfRangeError(f"{poly.label}: f({len(a)}) is above the binary64 range; "
+                              "use --precision exact") from None
+    return a
 
 
 def _suffix_dp(poly, x: int, mode: str, first: int = 2):

@@ -7,7 +7,6 @@ so evaluation never overflows or rounds.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import reduce
 from itertools import accumulate, chain, islice, repeat
 from math import comb
 
@@ -65,32 +64,27 @@ class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients label")):
         return value
 
     def values(self, lo: int, hi: int, binary64: bool = False):
-        """An iterator over f(lo), f(lo + 1), ..., f(hi), each as __call__
-        returns it, and no list of them.  Each value is a Horner loop on
-        locals until the last d + 1 values prove f >= 1 for the rest
-        (_difference_edge); from there on the values come from the
-        difference table, d C-level additions per value, so they are exact
-        and raise nothing.  The pieces are chained in C, and each error is
-        raised during iteration, at the n where f(n) would raise it.  With
+        """An iterator over f(lo), f(lo + 1), ..., f(hi), and no list of
+        them.  Each value comes from __call__, with its error, until the
+        last d + 1 values prove f >= 1 for the rest (_difference_edge);
+        from there on the values come from the difference table, d C-level
+        additions per value, so they are exact and raise nothing.  The
+        pieces are chained in C, and each error is
+        raised during iteration, at the n where f(n) raises it.  With
         binary64 the table runs in floats if f(hi) < 2**53: each of its sums
         is a Delta^k(n) in [0, f(n + k)], n + k <= hi, so exact (Higham, 2.1).
         """
         return chain.from_iterable(self._pieces(lo, hi, binary64))
 
     def _pieces(self, lo: int, hi: int, binary64: bool = False):
-        """values in pieces: (f(n),) per Horner value, then the table's stream."""
+        """values in pieces: (f(n),) per __call__ value, then the table's stream."""
         if lo < 1:
             raise ValueError(f"polynomial domain is n >= 1, got {lo}")
-        coeffs = self.coefficients[::-1]
         d = self.degree
-        provable = coeffs[0] > 0  # a negative leading coefficient never proves
+        provable = self.coefficients[-1] > 0  # a negative leading coefficient never proves
         window = []  # the last d + 1 values
         for n in range(lo, hi + 1):
-            value = 0
-            for c in coeffs:
-                value = value * n + c
-            if value < 1:
-                raise NonIntegerValuedError(f"{self.label}: f({n}) = {value} < 1")
+            value = self(n)
             yield (value,)
             if provable:
                 window.append(value)
@@ -98,8 +92,8 @@ class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients label")):
                     del window[:-d - 1]
                     edge = _difference_edge(window)
                     if edge is not None:
-                        if binary64 and reduce(lambda v, c: v * hi + c, coeffs) < 2**53:
-                            edge = [float(e) for e in edge]  # f(hi) by Horner, no __call__
+                        if binary64 and self(hi) < 2**53:  # the table proved f(hi) >= 1
+                            edge = [float(e) for e in edge]
                         # The table runs from m = n - d: skip f(m..n), stop after f(hi).
                         yield islice(_difference_stream(edge), d + 1, hi - n + d + 1)
                         return
@@ -150,7 +144,7 @@ def integers() -> IntegerPolynomial:
 def validate_monotone(poly: IntegerPolynomial, x: int) -> None:
     """Raise NotMonotoneError unless f(n+1) > f(n) on 1 <= n < x.
 
-    The walk checks that each Horner value of values(1, x) rises, and for
+    The walk checks that each __call__ value of values(1, x) rises, and for
     degree >= 1 stops at the difference table's piece: the window that made
     values switch rose and has every Delta^k >= 0, so Delta^1 > 0 from there
     on.  A constant walks into its table and fails at n = 1.

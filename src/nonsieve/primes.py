@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import partial
-from itertools import compress
+from itertools import compress, islice
 from math import gcd, isqrt, log
 
 from .errors import OutOfRangeError
@@ -283,10 +283,10 @@ def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
     goes straight to BPSW: every prime <= 37 is sieved, so is_prime's trial
     division would pass it.  So for degree <= 2 BPSW runs only where the
     4 X cap binds, and for a shell of degree >= 3 only from (4 X + 1)**2 on.
-    Unit outputs f(n) = 1 with n >= 2 are left out of the log sum and counted
-    in skipped_units.
-    The log sum is KahanSum.add written out on locals, operation for
-    operation, so it is bit-identical to log_density_sum.
+    The loop over f(1..X) decides primality only.  The log sum is
+    log_density_sum's loop, run once per limit on a second walk over
+    f(2..X), carrying its sums across limits; unit outputs f(n) = 1 with
+    n >= 2 are left out of it and counted in skipped_units.
     """
     x_list = list(x_list)
     if any(b <= a for a, b in zip(x_list, x_list[1:])):
@@ -316,31 +316,19 @@ def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
     count = skipped = 0
     total = comp = 0.0
     values = poly.values(1, x_max)
-    n = 0  # the last n walked
+    logs = map(log, poly.values(2, x_max))
+    last = 0  # the previous limit
     for x in x_list:
-        for n, v in zip(range(n + 1, x + 1), values):
+        for n, v in zip(range(last + 1, x + 1), values):
             if v <= bound:  # v = 1 reads index -1, a prime
                 count += sieve_primes[bisect_right(sieve_primes, v) - 1] == v
             elif v >= _U64:
                 count += is_prime(v)  # raises OutOfRangeError
             elif not struck[n] and (v < square or _bpsw(v)):
                 count += 1
-            if n >= 2:
-                if v == 1:
-                    skipped += 1
-                else:
-                    t = 1.0 / log(v)
-                    z = total + t
-                    bb = z - total
-                    comp += (total - (z - bb)) + (t - bb)
-                    total = z
-        results.append(PrimeCensus(
-            label=poly.label,
-            x=x,
-            prime_count=count,
-            log_density_sum=total + comp,
-            skipped_units=skipped,
-        ))
+        total, comp, skipped = _log_sum(islice(logs, x - max(last, 1)), total, comp, skipped)
+        last = x
+        results.append(PrimeCensus(poly.label, x, count, total + comp, skipped))
     return results
 
 
@@ -349,18 +337,28 @@ def census(poly: IntegerPolynomial, x: int) -> PrimeCensus:
     return census_scan(poly, [x])[0]
 
 
+def _log_sum(logs, total: float = 0.0, comp: float = 0.0, skipped: int = 0):
+    """Neumaier's compensated sum (Neumaier 1974) of 1/ln over the logs ln,
+    carried on from (total, comp, skipped), with KahanSum.add's operations
+    in its order.  A zero log, ln f(n) for f(n) = 1, adds one to skipped
+    instead.  Returns the carried (total, comp, skipped)."""
+    for ln in logs:
+        if ln:
+            t = 1.0 / ln
+            z = total + t
+            bb = z - total
+            comp += (total - (z - bb)) + (t - bb)
+            total = z
+        else:
+            skipped += 1
+    return total, comp, skipped
+
+
 def log_density_sum(poly: IntegerPolynomial, x: int) -> float:
-    """sum_{n=2}^{x} 1/ln f(n), compensated accumulation.
+    """sum_{n=2}^{x} 1/ln f(n), compensated accumulation (_log_sum).
 
     Indices with f(n) = 1 are skipped (ln 1 = 0); census reports how many.
     No primality is tested, so outputs at or above 2**64 are fine here.
     """
-    total = comp = 0.0
-    for v in poly.values(2, x):
-        if v != 1:
-            t = 1.0 / log(v)
-            z = total + t  # KahanSum.add on locals, as in census_scan
-            bb = z - total
-            comp += (total - (z - bb)) + (t - bb)
-            total = z
+    total, comp, _ = _log_sum(map(log, poly.values(2, x)))
     return total + comp

@@ -191,6 +191,13 @@ class TestSingleShot:
     def test_missing_poly_rejected(self, capsys):
         assert run(["residual", "--x", "3"]) == 2
 
+    def test_spec_starting_with_a_minus_sign_after_an_equals_sign(self, capsys):
+        # "--poly -1,2" reads -1,2 as an option; "--poly=-1,2" is 2n - 1 = shell:2
+        code, out = run_cli(capsys, "residual", "--poly=-1,2", "--x", "10")
+        _, shell = run_cli(capsys, "residual", "--poly", "shell:2", "--x", "10")
+        assert code == 0
+        assert json.loads(out)["m_value"] == json.loads(shell)["m_value"]
+
 
 class TestConfigAndEnvironment:
     def test_precision_env_default(self, capsys, monkeypatch):
@@ -339,6 +346,18 @@ class TestBadInputExitCodes:
     def test_limit_past_sys_maxsize_in_config(self, capsys, tmp_path):
         cfg = self.config(tmp_path, limits=[int(HUGE)])
         assert self.run_err(capsys, "table1", "--precision", "float", "--config", cfg) == 2
+
+    @pytest.mark.parametrize("command", ["mseries", "compare"])
+    def test_float_reciprocal_above_the_binary64_range(self, capsys, command):
+        # 1.0 / f(n) once ended in an OverflowError traceback; f(35) is the
+        # first value a float cannot hold
+        shell = prime_shell(200)
+        float(shell(34))
+        with pytest.raises(OverflowError):
+            float(shell(35))
+        assert run([command, "--poly", "shell:200", "--x", "50", "--float"]) == 2
+        assert capsys.readouterr() == ("", "error: prime-shell p=200: f(35) is above the "
+                                           "binary64 range; use --precision exact\n")
 
     def test_missing_config_file_is_an_io_error(self, capsys, tmp_path):
         missing = str(tmp_path / "absent.json")

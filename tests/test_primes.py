@@ -314,6 +314,8 @@ CENSUS_CASES = (
     ("shell:4", [1, 2, 500]),  # (2n - 1)(2n**2 - 2n + 1): no primes
     ("shell:6", [1, 300]),
     ("shell:7", [1175, 1176]),  # f(1176) >= 2**64: OutOfRangeError
+    ("3,-3,1", [1, 2, 3, 4, 50]),  # f(1) = f(2) = 1: a unit at n = 2, alone in its limit's span
+    ("3,-3,1", list(range(1, 41))),  # consecutive limits from 1: one n per span
 )
 
 
