@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import marshal
 import math
 import os
+import signal
 import sys
 
 from . import reference
@@ -32,6 +34,12 @@ FORMATS = ("csv", "json")
 
 CSV_COLUMNS = ("label", "x", "prime_count", "log_density_sum", "m_value", "mode")
 FIGURE_COLUMNS = ("label", "x", "m_value")
+
+# Rows run in forked workers only from this largest limit on.  On a shared
+# 2-vCPU x86_64 machine a fork round trip cost 1.6-1.8 ms, a float row about
+# 0.5 us a value, and two processes at once each ran up to 1.6x slower, so
+# two rows gain only from about 10**4 values each.  No README command forks.
+FORK_MIN_LIMIT = 1 << 14
 
 
 class RunConfig:
@@ -91,19 +99,105 @@ def cmd_table1(cfg: RunConfig) -> list[dict]:
     return _table_rows(integers(), "integers", cfg)
 
 
+def _worker_count(rows: int, largest_limit: int) -> int:
+    """How many processes share the rows: one, unless there are two rows or
+    more, the largest limit reaches FORK_MIN_LIMIT, fork is available and no
+    second thread could hold a lock that a forked child would inherit."""
+    threading = sys.modules.get("threading")  # never imported: no second thread
+    if (rows < 2 or largest_limit < FORK_MIN_LIMIT
+            or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading is not None and threading.active_count() > 1):
+        return 1
+    return min(rows, len(os.sched_getaffinity(0)))
+
+
+def _fork_share(rows_of, items, share: int, k: int):
+    """Fork a child that runs rows_of on items share, share + k, ... in order
+    and sends each list of rows down a pipe as it finishes; returns (pid,
+    read end), or None if fork fails.  The child stops at its first failing
+    item, and ends in os._exit: it never returns, flushes stdout or runs
+    exit handlers.  Fork, not spawn: a spawned worker would import the
+    package and rebuild the polynomials before its first row."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                for item in items[share::k]:
+                    marshal.dump(rows_of(item), pipe)
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, r
+
+
+def _sent_rows(fd: int):
+    """The lists of rows a child sent, up to the first incomplete one."""
+    with open(fd, "rb", closefd=False) as pipe:
+        while True:
+            try:
+                yield marshal.load(pipe)
+            except EOFError:  # the end, or a child killed mid-write
+                return
+
+
+def _map_rows(rows_of, items, largest_limit: int) -> list[dict]:
+    """[row for item in items for row in rows_of(item)], byte for byte and
+    with the same first exception, with the items dealt round-robin to k
+    processes (see _worker_count): this one runs share 0 and a forked child
+    each other share.  Any item whose rows a child did not send, and this
+    process's own from its first failure on, run again here in item order,
+    so the first failing item raises its own exception.  Only this process
+    writes output."""
+    k = _worker_count(len(items), largest_limit)
+    if k < 2:
+        return [row for item in items for row in rows_of(item)]
+    done, children = {}, []
+    try:
+        for share in range(1, k):
+            child = _fork_share(rows_of, items, share, k)
+            if child is None:
+                break
+            children.append(child)
+        try:
+            for i in range(0, len(items), k):
+                done[i] = rows_of(items[i])
+        except Exception:  # raised again below, after any earlier item's error
+            pass
+        for share, (_, fd) in enumerate(children, 1):
+            done.update(zip(range(share, len(items), k), _sent_rows(fd)))
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            os.waitpid(pid, 0)
+    return [row for i, item in enumerate(items)
+            for row in (done[i] if i in done else rows_of(item))]
+
+
 def cmd_table2(cfg: RunConfig) -> list[dict]:
-    return [row for p in cfg.powers for row in _table_rows(prime_shell(p), p, cfg)]
+    return _map_rows(lambda p: _table_rows(prime_shell(p), p, cfg), cfg.powers, cfg.limits[-1])
+
+
+def _figure_rows(poly: IntegerPolynomial, cfg: RunConfig) -> list[dict]:
+    return [{"label": poly.label, "x": res.x, "m_value": res.m_value.decimal_str(14)}
+            for res in residual_scan(poly, cfg.limits, _s_value(cfg), cfg.precision)]
 
 
 def cmd_figure_data(cfg: RunConfig) -> list[dict]:
     """Long-format series (label, x, m) for the integer row and each
     requested shell power."""
     series = [integers()] + [prime_shell(p) for p in cfg.powers]
-    return [
-        {"label": poly.label, "x": res.x, "m_value": res.m_value.decimal_str(14)}
-        for poly in series
-        for res in residual_scan(poly, cfg.limits, _s_value(cfg), cfg.precision)
-    ]
+    return _map_rows(lambda poly: _figure_rows(poly, cfg), series, cfg.limits[-1])
 
 
 def _precision_payload(value, mode: str) -> dict:

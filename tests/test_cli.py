@@ -1,11 +1,14 @@
 import json
+import os
 import sys
+import threading
 import warnings
 
 import pytest
 
 from nonsieve import census, euler_product_partial, integers, prime_shell, residual, sigma_chain
-from nonsieve.cli import COMMANDS, build_parser, run
+from nonsieve.cli import COMMANDS, FORK_MIN_LIMIT, build_parser, run
+from test_golden_cli import CASES, GOLDEN
 
 
 def run_cli(capsys, *argv):
@@ -278,6 +281,122 @@ class TestTableScans:
             for row in json.loads(run_cli(capsys, *argv, "--limits", x)[1]):
                 alone[(row["label"], row["x"])] = row
         assert len(rows) == 12 and rows == alone
+
+
+def outcome(capsys, argv):
+    """Exit code (or the exception that escaped run), stdout and stderr;
+    no child process may outlive the command."""
+    try:
+        code = run(list(argv))
+    except Exception as exc:
+        code = f"{type(exc).__name__}: {exc}"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return (code, *capsys.readouterr())
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two usable CPUs whatever the machine has; collects the fork calls."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def serial_outcome(capsys, monkeypatch, argv):
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "fork")
+        return outcome(capsys, argv)
+
+
+BELOW = str(FORK_MIN_LIMIT - 1)
+AT = str(FORK_MIN_LIMIT)
+
+
+class TestForkedRows:
+    """table2 and figure-data may run their rows in forked workers; the
+    result is the serial path's, byte for byte."""
+
+    @pytest.mark.parametrize("argv", [
+        ("table2", "--powers", "2,3", "--limits", f"100,{BELOW}", "--float"),
+        ("table2", "--powers", "2,3", "--limits", f"100,{AT}", "--float"),
+        ("table2", "--powers", "2,3", "--limits", f"100,{BELOW}", "--exact"),
+        ("table2", "--powers", "2,3", "--limits", f"100,{AT}", "--format", "json"),
+        ("figure-data", "--powers", "2,3", "--limits", BELOW, "--float"),
+        ("figure-data", "--powers", "2,3,5,7", "--limits", f"10,{AT}", "--float"),
+        ("figure-data", "--powers", "2,3", "--limits", AT, "--exact", "--format", "json"),
+        CASES["table2_float_x100000"],
+        CASES["figure_data_exact_x60000"],
+    ], ids=" ".join)
+    def test_forked_stdout_is_the_serial_stdout(self, capsys, monkeypatch, forks, argv):
+        result = outcome(capsys, argv)
+        largest = int(argv[argv.index("--limits") + 1].split(",")[-1])
+        assert bool(forks) == (largest >= FORK_MIN_LIMIT)
+        assert result == serial_outcome(capsys, monkeypatch, argv)
+        assert result[0] == 0 and result[2] == ""
+        for name in ("table2_float_x100000", "figure_data_exact_x60000"):
+            if argv == CASES[name]:
+                assert result[1] == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("powers", ["2,11", "11,2", "2,13,11"])
+    def test_first_failing_row_gives_the_serial_error(self, capsys, monkeypatch, forks, powers):
+        # shell:11 and shell:13 reach 2**64 in their census; with two
+        # processes, 2,13,11 fails in this one at shell:11 and in the child
+        # at shell:13, which comes first
+        argv = ("table2", "--precision", "float", "--powers", powers, "--limits", "20000")
+        result = outcome(capsys, argv)
+        assert forks
+        assert result == serial_outcome(capsys, monkeypatch, argv)
+        code, out, err = result
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_escaping_exception_is_the_serial_one(self, capsys, monkeypatch, forks):
+        # the float walk of shell:200 still ends in an OverflowError
+        argv = ("figure-data", "--float", "--powers", "200", "--limits", "20000")
+        result = outcome(capsys, argv)
+        assert forks
+        assert result == serial_outcome(capsys, monkeypatch, argv)
+        assert result[0].startswith("OverflowError: ")
+
+    @pytest.fixture
+    def no_fork(self, monkeypatch):
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", fork)
+
+    @pytest.mark.parametrize("argv", [
+        ("table2", "--powers", "2,3", "--limits", BELOW, "--float"),
+        ("table2", "--powers", "3", "--limits", AT, "--float"),
+        ("figure-data", "--powers", "", "--limits", AT),
+        *(argv for name, argv in CASES.items() if name.startswith("readme_")),
+    ], ids=" ".join)
+    def test_no_fork_below_the_limit_with_one_row_or_for_readme_commands(self, capsys, no_fork,
+                                                                          argv):
+        assert outcome(capsys, argv)[0] == 0
+
+    def test_no_fork_with_one_usable_cpu(self, capsys, monkeypatch, no_fork):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert outcome(capsys, ("table2", "--powers", "2,3", "--limits", AT, "--float"))[0] == 0
+
+    def test_no_fork_with_a_second_thread_alive(self, capsys, no_fork):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert outcome(capsys, ("figure-data", "--powers", "2", "--limits", AT))[0] == 0
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 HUGE = "9" * 30  # above sys.maxsize
