@@ -111,77 +111,51 @@ def _worker_count(rows: int, largest_limit: int) -> int:
     return min(rows, len(os.sched_getaffinity(0)))
 
 
-def _fork_share(rows_of, items, share: int, k: int):
-    """Fork a child that runs rows_of on items share, share + k, ... in order
-    and sends each list of rows down a pipe as it finishes; returns (pid,
-    read end), or None if fork fails.  The child stops at its first failing
-    item, and ends in os._exit: it never returns, flushes stdout or runs
-    exit handlers.  Fork, not spawn: a spawned worker would import the
-    package and rebuild the polynomials before its first row."""
-    r, w = os.pipe()
+def _forked_rows(rows_of, items, k: int) -> list[dict] | None:
+    """[row for item in items for row in rows_of(item)] from k processes, or
+    None.  The items are dealt round-robin: this process runs share 0, and a
+    forked child each other share, which it sends down a pipe as one marshal
+    record before os._exit; the child never returns, flushes stdout or runs
+    exit handlers.  All or nothing: None if a row of share 0 raises, a pipe
+    or fork fails, or a child sends no complete record.  Fork, not spawn: a
+    spawned worker would import the package and rebuild the polynomials
+    before its first row."""
+    pids, fds = [], []
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
+        for share in range(1, k):
+            fds += os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    with open(fds[-1], "wb") as pipe:
+                        marshal.dump([rows_of(item) for item in items[share::k]], pipe)
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            os.close(fds.pop())  # the write end, so the read sees the child's EOF
+        shares = [[rows_of(item) for item in items[::k]]]
+        for fd in fds:
+            with open(fd, "rb", closefd=False) as pipe:
+                shares.append(marshal.load(pipe))
+    except Exception:  # _map_rows runs every row again, in one process
         return None
-    if pid == 0:
-        try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                for item in items[share::k]:
-                    marshal.dump(rows_of(item), pipe)
-        finally:
-            os._exit(0)
-    os.close(w)
-    return pid, r
-
-
-def _sent_rows(fd: int):
-    """The lists of rows a child sent, up to the first incomplete one."""
-    with open(fd, "rb", closefd=False) as pipe:
-        while True:
-            try:
-                yield marshal.load(pipe)
-            except EOFError:  # the end, or a child killed mid-write
-                return
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+    return [row for i in range(len(items)) for row in shares[i % k][i // k]]
 
 
 def _map_rows(rows_of, items, largest_limit: int) -> list[dict]:
-    """[row for item in items for row in rows_of(item)], byte for byte and
-    with the same first exception, with the items dealt round-robin to k
-    processes (see _worker_count): this one runs share 0 and a forked child
-    each other share.  Any item whose rows a child did not send, and this
-    process's own from its first failure on, run again here in item order,
-    so the first failing item raises its own exception.  Only this process
-    writes output."""
+    """[row for item in items for row in rows_of(item)], byte for byte, with
+    the rows run in _worker_count processes (_forked_rows).  If that fails,
+    every row runs again here in item order, so any error is the one-process
+    run's.  Only this process writes output."""
     k = _worker_count(len(items), largest_limit)
-    if k < 2:
-        return [row for item in items for row in rows_of(item)]
-    done, children = {}, []
-    try:
-        for share in range(1, k):
-            child = _fork_share(rows_of, items, share, k)
-            if child is None:
-                break
-            children.append(child)
-        try:
-            for i in range(0, len(items), k):
-                done[i] = rows_of(items[i])
-        except Exception:  # raised again below, after any earlier item's error
-            pass
-        for share, (_, fd) in enumerate(children, 1):
-            done.update(zip(range(share, len(items), k), _sent_rows(fd)))
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, fd in children:
-            os.close(fd)
-            os.waitpid(pid, 0)
-    return [row for i, item in enumerate(items)
-            for row in (done[i] if i in done else rows_of(item))]
+    rows = _forked_rows(rows_of, items, k) if k > 1 else None
+    return [row for item in items for row in rows_of(item)] if rows is None else rows
 
 
 def cmd_table2(cfg: RunConfig) -> list[dict]:

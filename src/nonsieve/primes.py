@@ -17,7 +17,7 @@ from functools import partial
 from itertools import compress, islice
 from math import gcd, isqrt, log
 
-from .errors import OutOfRangeError
+from .errors import NonIntegerValuedError, OutOfRangeError
 from .polynomial import IntegerPolynomial, shell_coefficients
 
 _U64 = 1 << 64
@@ -237,15 +237,17 @@ def _shell_roots(p: int, q: int):
     return rs
 
 
-def _scanned_roots(poly: IntegerPolynomial, bound: int):
-    """q -> the r in 1..q with q | f(r), read from f(1..bound) by Horner
-    without the f(n) >= 1 check, so errors still come from the walk."""
-    coeffs = poly.coefficients[::-1]
-    low = [0] * (bound + 1)
-    for n in range(1, bound + 1):
-        for c in coeffs:
-            low[n] = low[n] * n + c
-    return lambda q: [r for r in range(1, q + 1) if low[r] % q == 0]
+def _scanned_roots(poly: IntegerPolynomial, bound: int, x: int):
+    """q -> the r in 1..min(q, x) with q | f(r), read from poly.values up to
+    min(bound, x): roots repeat mod q, and no index past x is struck.  The
+    values stop at an f(n) < 1, where the walk raises at n or before: an
+    f(m) >= 2**64 with m < n raises first, so the error is the walk's."""
+    low = [0]
+    try:
+        low += poly.values(1, min(bound, x))
+    except NonIntegerValuedError:
+        pass
+    return lambda q: [r for r in range(1, min(q + 1, len(low))) if low[r] % q == 0]
 
 
 def _struck(x: int, bound: int, roots):
@@ -276,7 +278,7 @@ def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
     for f of degree <= 2 with a positive leading coefficient (_roots_mod).
     Every f(n) with n <= X is then at most T = max(f(1), f(X)), so B =
     max(B1, min(isqrt(T), 4 X)) with B1 = max(37, min(1000, isqrt(4 X))).
-    Any other f takes B = B1 and reads its roots from f(1..B).  A value
+    Any other f takes B = B1 and reads its roots from f(1..min(B, X)).  A value
     v <= B is prime when it is among the primes <= B that the sieve strikes
     with; a v >= 2**64 goes to is_prime (OutOfRangeError at the first).
     Any other v is composite when struck, prime below (B + 1)**2, and else
@@ -303,14 +305,14 @@ def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
     elif len(coeffs) <= 3 and coeffs[-1] > 0:
         roots = partial(_roots_mod, *coeffs + (0,) * (3 - len(coeffs)))
     else:
-        roots = None  # read from f(1..B) below
+        roots = None  # read from f(1..min(B, X)) below
     if roots:
         top = 0
         for c in reversed(coeffs):
             top = top * x_max + c  # Horner, never raises
         bound = max(bound, min(isqrt(max(sum(coeffs), top, 0)), 4 * x_max))
     from bisect import bisect_right
-    struck, sieve_primes = _struck(x_max, bound, roots or _scanned_roots(poly, bound))
+    struck, sieve_primes = _struck(x_max, bound, roots or _scanned_roots(poly, bound, x_max))
     square = (bound + 1) ** 2
     results = []
     count = skipped = 0

@@ -1,4 +1,6 @@
+import errno
 import json
+import marshal
 import os
 import sys
 import threading
@@ -316,6 +318,12 @@ def serial_outcome(capsys, monkeypatch, argv):
         return outcome(capsys, argv)
 
 
+def lowest_free_fd() -> int:
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
+
+
 BELOW = str(FORK_MIN_LIMIT - 1)
 AT = str(FORK_MIN_LIMIT)
 
@@ -364,6 +372,45 @@ class TestForkedRows:
         assert forks
         assert result == serial_outcome(capsys, monkeypatch, argv)
         assert result[0].startswith("OverflowError: ")
+
+    @pytest.mark.parametrize("sent", [slice(0), slice(-1)], ids=["nothing", "truncated"])
+    def test_child_that_sends_no_whole_record_gives_the_serial_run(self, capsys, monkeypatch,
+                                                                   forks, sent):
+        # only children call marshal.dump; this one sends part of its record
+        def dump(value, pipe):
+            pipe.write(marshal.dumps(value)[sent])
+            pipe.flush()
+            os._exit(1)
+
+        argv = ("table2", "--powers", "2,3", "--limits", f"100,{AT}", "--float")
+        with monkeypatch.context() as patch:
+            patch.setattr("nonsieve.cli.marshal.dump", dump)
+            result = outcome(capsys, argv)
+        assert forks
+        assert result == serial_outcome(capsys, monkeypatch, argv)
+        assert result[0] == 0 and result[2] == ""
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_failed_fork_gives_the_serial_run_and_leaks_no_fd(self, capsys, monkeypatch, failing):
+        # three CPUs, three rows: the failing fork is the first, or the
+        # second with one child already running
+        real_fork, calls = os.fork, []
+
+        def fork():
+            calls.append(os.getpid())
+            if len(calls) == failing:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real_fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "fork", fork)
+        argv = ("figure-data", "--powers", "2,3", "--limits", f"100,{AT}", "--float")
+        lowest = lowest_free_fd()
+        result = outcome(capsys, argv)
+        assert lowest_free_fd() == lowest
+        assert len(calls) == failing
+        assert result == serial_outcome(capsys, monkeypatch, argv)
+        assert result[0] == 0 and result[2] == ""
 
     @pytest.fixture
     def no_fork(self, monkeypatch):

@@ -333,6 +333,20 @@ def test_sieved_census_raises_where_the_walk_drops_below_one():
     assert expected == (NonIntegerValuedError, "1+30n-n^2: f(31) = -30 < 1")
 
 
+def test_sieved_census_raises_the_walks_first_error_before_a_later_drop_below_one():
+    # f(1) >= 2**64 stops the walk at n = 1; the roots are read from
+    # f(1..min(B, X)) with B = 37, so from X = 31 on they reach f(31) < 1
+    c2 = 2**64 // 900
+    poly = IntegerPolynomial((2**64 + c2 + 1, 0, -c2), "q")
+    with pytest.raises(NonIntegerValuedError):
+        poly(31)
+    for xs in ([30], [31], [1, 40]):
+        expected = census_outcome(census_oracle, poly, xs)
+        assert census_outcome(census_scan, poly, xs) == expected
+        assert expected == (OutOfRangeError, "is_prime is certified only below 2**64, "
+                                             f"got {poly(1)}")
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     poly=st.one_of(
