@@ -244,7 +244,7 @@ def _scanned_roots(poly: IntegerPolynomial, bound: int, x: int):
     f(m) >= 2**64 with m < n raises first, so the error is the walk's."""
     low = [0]
     try:
-        low += poly.values(1, min(bound, x))
+        low += poly.values(1, min(bound, x))  # keeps the values read before the raise
     except NonIntegerValuedError:
         pass
     return lambda q: [r for r in range(1, min(q + 1, len(low))) if low[r] % q == 0]

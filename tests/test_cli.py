@@ -8,6 +8,7 @@ import warnings
 
 import pytest
 
+import nonsieve.cli
 from nonsieve import census, euler_product_partial, integers, prime_shell, residual, sigma_chain
 from nonsieve.cli import COMMANDS, FORK_MIN_LIMIT, build_parser, run
 from test_golden_cli import CASES, GOLDEN
@@ -312,6 +313,21 @@ def forks(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def forked(monkeypatch):
+    """Collects what each _forked_rows call returned in this process: its
+    rows, or None where _map_rows ran them all again in one process."""
+    results = []
+    real = nonsieve.cli._forked_rows
+
+    def forked_rows(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(nonsieve.cli, "_forked_rows", forked_rows)
+    return results
+
+
 def serial_outcome(capsys, monkeypatch, argv):
     with monkeypatch.context() as patch:
         patch.delattr(os, "fork")
@@ -343,10 +359,11 @@ class TestForkedRows:
         CASES["table2_float_x100000"],
         CASES["figure_data_exact_x60000"],
     ], ids=" ".join)
-    def test_forked_stdout_is_the_serial_stdout(self, capsys, monkeypatch, forks, argv):
+    def test_forked_stdout_is_the_serial_stdout(self, capsys, monkeypatch, forks, forked, argv):
         result = outcome(capsys, argv)
         largest = int(argv[argv.index("--limits") + 1].split(",")[-1])
         assert bool(forks) == (largest >= FORK_MIN_LIMIT)
+        assert [type(rows) for rows in forked] == [list] * bool(forks)
         assert result == serial_outcome(capsys, monkeypatch, argv)
         assert result[0] == 0 and result[2] == ""
         for name in ("table2_float_x100000", "figure_data_exact_x60000"):
@@ -354,28 +371,29 @@ class TestForkedRows:
                 assert result[1] == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("powers", ["2,11", "11,2", "2,13,11"])
-    def test_first_failing_row_gives_the_serial_error(self, capsys, monkeypatch, forks, powers):
+    def test_first_failing_row_gives_the_serial_error(self, capsys, monkeypatch, forks, forked,
+                                                     powers):
         # shell:11 and shell:13 reach 2**64 in their census; with two
         # processes, 2,13,11 fails in this one at shell:11 and in the child
         # at shell:13, which comes first
         argv = ("table2", "--precision", "float", "--powers", powers, "--limits", "20000")
         result = outcome(capsys, argv)
-        assert forks
+        assert forks and forked == [None]
         assert result == serial_outcome(capsys, monkeypatch, argv)
         code, out, err = result
         assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
 
-    def test_escaping_exception_is_the_serial_one(self, capsys, monkeypatch, forks):
+    def test_escaping_exception_is_the_serial_one(self, capsys, monkeypatch, forks, forked):
         # the float walk of shell:200 still ends in an OverflowError
         argv = ("figure-data", "--float", "--powers", "200", "--limits", "20000")
         result = outcome(capsys, argv)
-        assert forks
+        assert forks and forked == [None]
         assert result == serial_outcome(capsys, monkeypatch, argv)
         assert result[0].startswith("OverflowError: ")
 
     @pytest.mark.parametrize("sent", [slice(0), slice(-1)], ids=["nothing", "truncated"])
     def test_child_that_sends_no_whole_record_gives_the_serial_run(self, capsys, monkeypatch,
-                                                                   forks, sent):
+                                                                   forks, forked, sent):
         # only children call marshal.dump; this one sends part of its record
         def dump(value, pipe):
             pipe.write(marshal.dumps(value)[sent])
@@ -386,12 +404,13 @@ class TestForkedRows:
         with monkeypatch.context() as patch:
             patch.setattr("nonsieve.cli.marshal.dump", dump)
             result = outcome(capsys, argv)
-        assert forks
+        assert forks and forked == [None]
         assert result == serial_outcome(capsys, monkeypatch, argv)
         assert result[0] == 0 and result[2] == ""
 
     @pytest.mark.parametrize("failing", [1, 2])
-    def test_failed_fork_gives_the_serial_run_and_leaks_no_fd(self, capsys, monkeypatch, failing):
+    def test_failed_fork_gives_the_serial_run_and_leaks_no_fd(self, capsys, monkeypatch, forked,
+                                                              failing):
         # three CPUs, three rows: the failing fork is the first, or the
         # second with one child already running
         real_fork, calls = os.fork, []
@@ -408,17 +427,9 @@ class TestForkedRows:
         lowest = lowest_free_fd()
         result = outcome(capsys, argv)
         assert lowest_free_fd() == lowest
-        assert len(calls) == failing
+        assert len(calls) == failing and forked == [None]
         assert result == serial_outcome(capsys, monkeypatch, argv)
         assert result[0] == 0 and result[2] == ""
-
-    @pytest.fixture
-    def no_fork(self, monkeypatch):
-        def fork():
-            raise AssertionError("forked")
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(os, "fork", fork)
 
     @pytest.mark.parametrize("argv", [
         ("table2", "--powers", "2,3", "--limits", BELOW, "--float"),
@@ -426,20 +437,22 @@ class TestForkedRows:
         ("figure-data", "--powers", "", "--limits", AT),
         *(argv for name, argv in CASES.items() if name.startswith("readme_")),
     ], ids=" ".join)
-    def test_no_fork_below_the_limit_with_one_row_or_for_readme_commands(self, capsys, no_fork,
+    def test_no_fork_below_the_limit_with_one_row_or_for_readme_commands(self, capsys, forks,
                                                                           argv):
-        assert outcome(capsys, argv)[0] == 0
+        assert outcome(capsys, argv)[0] == 0 and not forks
 
-    def test_no_fork_with_one_usable_cpu(self, capsys, monkeypatch, no_fork):
+    def test_no_fork_with_one_usable_cpu(self, capsys, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert outcome(capsys, ("table2", "--powers", "2,3", "--limits", AT, "--float"))[0] == 0
+        assert not forks
 
-    def test_no_fork_with_a_second_thread_alive(self, capsys, no_fork):
+    def test_no_fork_with_a_second_thread_alive(self, capsys, forks):
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
             assert outcome(capsys, ("figure-data", "--powers", "2", "--limits", AT))[0] == 0
+            assert not forks
         finally:
             stop.set()
             thread.join(timeout=10)
