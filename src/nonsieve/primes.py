@@ -149,60 +149,13 @@ def _primes_to(bound: int, segment: int = 1 << 15):
         yield from compress(range(lo, hi), flags)
 
 
-def _sqrt_mod(a: int, q: int) -> int | None:
-    """A square root of a mod the odd prime q, 0 < a < q, or None when a is
-    a non-residue (Euler's criterion).  For q = 3 mod 4 it is one pow, whose
-    square is a times Euler's symbol; else Tonelli-Shanks (Cohen, A Course
-    in Computational Algebraic Number Theory, Alg. 1.5.1)."""
-    if q % 4 == 3:
-        x = pow(a, (q + 1) // 4, q)
-        return x if x * x % q == a else None
-    if pow(a, (q - 1) // 2, q) != 1:
-        return None
-    e, odd = 0, q - 1
-    while odd % 2 == 0:
-        odd //= 2
-        e += 1
-    z = 2
-    while pow(z, (q - 1) // 2, q) == 1:
-        z += 1
-    y = pow(z, odd, q)  # generates the Sylow 2-subgroup
-    x = pow(a, (odd + 1) // 2, q)
-    b = pow(a, odd, q)  # x * x = a * b, and b's order is a power of two
-    while b != 1:
-        m, t = 0, b
-        while t != 1:
-            t = t * t % q
-            m += 1
-        t = pow(y, 1 << (e - m - 1), q)
-        y = t * t % q
-        e = m
-        x = x * t % q
-        b = b * y % q
-    return x
-
-
-def _roots_mod(c0: int, c1: int, c2: int, q: int):
-    """The r in 0..q-1 with q | c0 + c1 r + c2 r**2, for a prime q, in
-    closed form.  For q = 2, r**2 = r; when q divides c2, one modular
-    inverse, and every residue is a root when q divides all three
-    coefficients; else the quadratic formula with _sqrt_mod."""
-    if q == 2:
-        return tuple(r for r in (0, 1) if (c0 + (c1 + c2) * r) % 2 == 0)
-    a = c2 % q
-    if a == 0:
-        b = c1 % q
-        if b == 0:
-            return range(q) if c0 % q == 0 else ()
-        return (-c0 * pow(b, -1, q) % q,)
-    d = (c1 * c1 - 4 * c0 * c2) % q
-    if d == 0:
-        return (-c1 * pow(2 * a, -1, q) % q,)
-    s = _sqrt_mod(d, q)
-    if s is None:
-        return ()
-    inv = pow(2 * a, -1, q)
-    return ((s - c1) * inv % q, (-s - c1) * inv % q)
+def _roots_mod(c0: int, c1: int, q: int):
+    """The r in 0..q-1 with q | c0 + c1 r, for a prime q: one modular
+    inverse, or every residue when q divides both coefficients."""
+    b = c1 % q
+    if b == 0:
+        return range(q) if c0 % q == 0 else ()
+    return (-c0 * pow(b, -1, q) % q,)
 
 
 def _shell_roots(p: int, q: int):
@@ -275,16 +228,18 @@ def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
     (Crandall & Pomerance, Prime Numbers, sec. 3.2), X the largest limit.
     The roots come in closed form for a prime shell n**p - (n-1)**p, known
     by its coefficients (_shell_roots, from the p-th roots of unity), and
-    for f of degree <= 2 with a positive leading coefficient (_roots_mod).
-    Every f(n) with n <= X is then at most T = max(f(1), f(X)), so B =
-    max(B1, min(isqrt(T), 4 X)) with B1 = max(37, min(1000, isqrt(4 X))).
-    Any other f takes B = B1 and reads its roots from f(1..min(B, X)).  A value
+    for f of degree <= 1 with a positive leading coefficient, such as the
+    integers (_roots_mod).  Every f(n) with n <= X is then at most
+    T = max(f(1), f(X)), so B = max(B1, min(isqrt(T), 4 X)) with
+    B1 = max(37, min(1000, isqrt(4 X))).  Any other f, quadratics included,
+    takes B = B1 and reads its roots from f(1..min(B, X)).  A value
     v <= B is prime when it is among the primes <= B that the sieve strikes
     with; a v >= 2**64 goes to is_prime (OutOfRangeError at the first).
     Any other v is composite when struck, prime below (B + 1)**2, and else
     goes straight to BPSW: every prime <= 37 is sieved, so is_prime's trial
-    division would pass it.  So for degree <= 2 BPSW runs only where the
-    4 X cap binds, and for a shell of degree >= 3 only from (4 X + 1)**2 on.
+    division would pass it.  So for f of degree <= 1 or shell:3 BPSW runs
+    only where the 4 X cap binds, for a shell of degree >= 3 only from
+    (4 X + 1)**2 on, and for any other f from (B1 + 1)**2 on.
     The loop over f(1..X) decides primality only.  The log sum is
     log_density_sum's loop, run once per limit on a second walk over
     f(2..X), carrying its sums across limits; unit outputs f(n) = 1 with
@@ -302,8 +257,8 @@ def census_scan(poly: IntegerPolynomial, x_list) -> list[PrimeCensus]:
     coeffs = poly.coefficients
     if coeffs == shell_coefficients(len(coeffs)):
         roots = partial(_shell_roots, len(coeffs))
-    elif len(coeffs) <= 3 and coeffs[-1] > 0:
-        roots = partial(_roots_mod, *coeffs + (0,) * (3 - len(coeffs)))
+    elif len(coeffs) <= 2 and coeffs[-1] > 0:
+        roots = partial(_roots_mod, *coeffs + (0,) * (2 - len(coeffs)))
     else:
         roots = None  # read from f(1..min(B, X)) below
     if roots:

@@ -52,6 +52,11 @@ CASES = {
     "table2_float_x100000": (
         "table2", "--precision", "float", "--powers", "2,3", "--limits", "1000,100000",
     ),
+    # the integers to x = 1100000: a CLI census whose linear closed
+    # form sieves past B1 = 1000, to isqrt(X) = 1048
+    "table1_float_x1100000": (
+        "table1", "--precision", "float", "--limits", "1000000,1100000",
+    ),
     # shells of degree 3, 4 and 6, whose census sieves by roots of unity to
     # 4 X; the file was written while they sieved to 67 by Horner values
     "table2_float_shells457": (

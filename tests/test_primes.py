@@ -280,36 +280,38 @@ def census_outcome(scan, poly, xs):
     ]
 
 
-# The sieve bound is B = max(37, min(1000, isqrt(4 X))) for the largest
-# limit X.  A prime shell, and an f of degree <= 2 with a positive leading
-# coefficient, sieve to B2 = max(B, min(isqrt(max(f(1), f(X))), 4 X))
-# instead.  Values at most the bound go to is_prime, struck values are
-# composite, survivors below (bound + 1)**2 are prime and the rest go to
-# Miller-Rabin.
+# The sieve bound is B1 = max(37, min(1000, isqrt(4 X))) for the largest
+# limit X.  A prime shell, and an f of degree <= 1 with a positive leading
+# coefficient, take their roots in closed form and sieve to
+# B2 = max(B1, min(isqrt(max(f(1), f(X))), 4 X)) instead.  Every other f,
+# quadratics included, reads its roots from f(1..min(B1, X)) and sieves to
+# B1.  Values at most the bound are decided among the sieve's primes, struck
+# values are composite, survivors below (bound + 1)**2 are prime and the
+# rest go to BPSW.
 CENSUS_CASES = (
-    ("integers", [1, 2, 3, 36]),  # X < 37: B = 37 > X
+    ("integers", [1, 2, 3, 36]),  # X < 37: B1 = 37 > X
     ("integers", [36, 37, 38, 100]),  # f(n) = n runs over every sieving prime
-    ("integers", [37, 360, 361, 362]),  # B leaves its floor at X = 361
-    ("integers", [999, 1000, 1001, 250001]),  # B = 1000 from X = 250000
-    ("1,0,1", [6, 7, 37, 38, 39, 60]),  # B2 = isqrt(f(60)) = 60: f(7) = 50 < B2 < f(8)
+    ("integers", [37, 360, 361, 362]),  # B1 leaves its floor at X = 361
+    ("integers", [999, 1000, 1001, 250001]),  # B1 = 1000 from X = 250000
+    ("1,0,1", [6, 7, 37, 38, 39, 60]),  # B1 = 37 = f(6) < f(7); (B1 + 1)**2 = 1444 < f(38)
     ("shell:3", [5, 6, 37, 38, 1000]),  # B2 = 1731: f(24) = 1657 < B2 < f(25) = 1801
     ("shell:2", [1, 2, 300]),
     ("1", [1, 2, 40]),  # units
     ("7", [1, 50]),  # the sieving prime 7 at every n
     ("1409", [50]),  # prime, between B2 = 37 and (B2 + 1)**2
     ("1369", [50]),  # 37**2, struck
-    ("2021", [50]),  # 43 * 47: B2 = isqrt(2021) = 44 strikes it, B = 37 would not
+    ("2021", [50]),  # 43 * 47: B2 = isqrt(2021) = 44 strikes it, B1 = 37 would not
     ("shell:11", [10, 66, 67, 200]),  # f(67) >= 2**64: OutOfRangeError
-    ("1,0,1", [9, 10, 11, 101]),  # B2 = isqrt(f(101)) = 101 = f(10)
-    ("1,0,1680", [1, 2, 10]),  # B2 = 4 X = 40 < isqrt(f(10)): f(1) = 41**2 = (B2 + 1)**2
-    ("1,0,1680", [10, 300, 1000]),  # the 4 X cap binds, and Miller-Rabin finds primes
-    ("1,1,6", [1, 2, 50, 400]),  # 2 and 3 divide the leading coefficient
-    ("1,2,1", [1, 2, 100, 500]),  # (n + 1)**2: a double root mod every q
-    ("2,3,1", [1, 2, 100, 500]),  # (n + 1)(n + 2)
-    ("2,2,2", [1, 2, 60]),  # every residue is a root mod 2
-    ("10,-5,1", [1, 2, 3]),  # f(1) = 6 > f(2) = f(3) = 4
-    ("10,-5,1", [1, 2, 3, 4, 5, 200]),  # convex, not monotone
-    ("10100,-200,1", [1, 2, 100, 150]),  # B2 = isqrt(f(1)) = 99 > isqrt(f(150)) = 50
+    ("1,0,1", [9, 10, 11, 101]),  # B1 = 37: BPSW decides the survivors from f(40) on
+    ("1,0,1680", [1, 2, 10]),  # B1 = 37: f(1) = 41**2 survives the sieve, and BPSW rejects it
+    ("1,0,1680", [10, 300, 1000]),  # B1 = isqrt(4 X) = 63, and BPSW finds primes
+    ("1,1,6", [1, 2, 50, 400]),  # B1 = 40; 2 and 3 divide the leading coefficient
+    ("1,2,1", [1, 2, 100, 500]),  # (n + 1)**2, B1 = 44: BPSW rejects each prime square
+    ("2,3,1", [1, 2, 100, 500]),  # (n + 1)(n + 2), B1 = 44: every f(n) struck
+    ("2,2,2", [1, 2, 60]),  # every n is a root mod 2
+    ("10,-5,1", [1, 2, 3]),  # f(1) = 6 > f(2) = f(3) = 4, all below B1 = 37
+    ("10,-5,1", [1, 2, 3, 4, 5, 200]),  # convex, not monotone, and always even
+    ("10100,-200,1", [1, 2, 100, 150]),  # (n - 100)**2 + 100, B1 = 37: BPSW past |n - 100| = 36
     ("shell:5", [13, 14, 100]),  # B2 = 4 X = 400: f(13) < (B2 + 1)**2 = 160801 < f(14)
     ("shell:4", [1, 2, 500]),  # (2n - 1)(2n**2 - 2n + 1): no primes
     ("shell:6", [1, 300]),
@@ -365,28 +367,21 @@ PRIMES_BELOW_5000 = [q for q in range(2, 5000) if is_prime_trial_division(q)]
 
 @settings(max_examples=500, deadline=None)
 @given(
-    coeffs=st.tuples(*[st.integers(-10**6, 10**6)] * 3),
-    shape=st.sampled_from(["quadratic", "linear", "constant", "q | c2", "q | all"]),
-    q=st.one_of(  # q = 1 (mod 8) takes Tonelli-Shanks's non-residue search
-        st.sampled_from(PRIMES_BELOW_5000),
-        st.sampled_from([q for q in PRIMES_BELOW_5000 if q % 8 == 1]),
-    ),
+    coeffs=st.tuples(*[st.integers(-10**6, 10**6)] * 2),
+    shape=st.sampled_from(["linear", "constant", "q | all"]),
+    q=st.sampled_from(PRIMES_BELOW_5000),
 )
 def test_closed_form_roots_equal_brute_force(coeffs, shape, q):
-    c0, c1, c2 = coeffs
-    if shape in ("linear", "constant"):
-        c2 = 0
+    c0, c1 = coeffs
     if shape == "constant":
         c1 = 0
-    if shape in ("q | c2", "q | all"):
-        c2 *= q
     if shape == "q | all":
         c0, c1 = c0 * q, c1 * q
-    roots = sorted(_roots_mod(c0, c1, c2, q))
-    assert roots == [r for r in range(q) if (c0 + c1 * r + c2 * r * r) % q == 0]
+    roots = sorted(_roots_mod(c0, c1, q))
+    assert roots == [r for r in range(q) if (c0 + c1 * r) % q == 0]
 
 
-def test_degree_two_census_needs_no_miller_rabin(monkeypatch):
+def test_closed_form_census_runs_bpsw_only_past_the_4x_cap(monkeypatch):
     # Values up to the sieve bound are decided by the sieve's own primes and
     # values at or above 2**64 go to is_prime, which raises; its stand-in
     # fails on any value below 2**64, so every count is the walk's own.
@@ -417,7 +412,9 @@ def test_degree_two_census_needs_no_miller_rabin(monkeypatch):
     for poly, rows in zip(polys, expected):
         assert census_scan(poly, xs) == rows
         assert calls == [] and lucas_calls == [], poly.label
-    census_scan(parse_poly_spec("10100,-200,1"), [150])  # the bound is from f(1) > f(150)
+    # a constant sieves to B2 = isqrt(f) = 31622, far past B1 = 282, so every
+    # value is a survivor below (B2 + 1)**2
+    assert census_scan(parse_poly_spec("1000000007"), [20000])[0].prime_count == 20000
     assert calls == [] and lucas_calls == []
     # A prime shell sieves to B2 = 4 X < isqrt(f(X)) here, so BPSW sees
     # only values from (B2 + 1)**2 on, and its Lucas half only those that
